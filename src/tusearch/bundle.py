@@ -209,18 +209,33 @@ def save_bundle(directory, engine: SearchEngine) -> Path:
     return directory
 
 
-def load_bundle(directory) -> SearchEngine:
-    """Verify and load a bundle directory back into a search engine."""
-    directory = Path(directory)
+def _read_meta(directory: Path) -> dict:
+    """Parse ``bundle.json``; anything but a current-format object carrying
+    config, components and checksums is a data error."""
     meta_path = directory / _META
     if not meta_path.is_file():
         raise DataError(f"not a bundle (missing {_META}): {directory}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        raise DataError(f"{meta_path} is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path} is not a JSON object")
     if meta.get("format") != FORMAT_NAME or meta.get("version") != FORMAT_VERSION:
         raise DataError(
             f"bundle format mismatch: found {meta.get('format')!r} v{meta.get('version')!r}, "
             f"expected {FORMAT_NAME!r} v{FORMAT_VERSION}"
         )
+    for key, kind in (("config", dict), ("components", list), ("checksums", dict)):
+        if not isinstance(meta.get(key), kind):
+            raise DataError(f"{meta_path} lacks a {kind.__name__} {key!r}")
+    return meta
+
+
+def load_bundle(directory) -> SearchEngine:
+    """Verify and load a bundle directory back into a search engine."""
+    directory = Path(directory)
+    meta = _read_meta(directory)
     for name, expect in meta["checksums"].items():
         path = directory / name
         if not path.is_file():
@@ -250,5 +265,5 @@ def load_bundle(directory) -> SearchEngine:
 def component_sizes(directory) -> dict[str, int]:
     """On-disk byte size per bundle component."""
     directory = Path(directory)
-    meta = json.loads((directory / _META).read_text(encoding="utf-8"))
+    meta = _read_meta(directory)
     return {name: (directory / name).stat().st_size for name in meta["components"]}

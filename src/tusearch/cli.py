@@ -129,8 +129,9 @@ def cmd_eval(args) -> int:
     engine = bundle_io.load_bundle(args.bundle)
     queries = load_query_tables(args.queries)
     params = _params(args)
+    params.resolve(engine.repo.n_sets)  # reject bad parameters before the oracle runs
     truth = ground_truth_rankings(
-        queries, engine.repo, args.tau,
+        queries, engine.repo, params.tau,
         cache_dir=args.cache, threads=args.threads,
     )
     recalls = []
@@ -229,7 +230,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ef-construction", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--single-partition", action="store_true",
-                   help="one partition per set (disables partitioning)")
+                   help="one partition per set in the stage-2 filter")
     p.add_argument("--graph", choices=["auto", "always", "never"], default="auto")
     p.set_defaults(func=cmd_build)
 

@@ -80,7 +80,7 @@ def ground_truth_rankings(
     cache_path = None
     if cache_dir is not None:
         qhash = _hash_queries(queries)
-        tag = f"gt_{repo.content_hash()[:16]}_{qhash[:16]}_tau{tau:g}.npz"
+        tag = f"gt_{repo.content_hash()[:16]}_{qhash[:16]}_tau{float(tau).hex()}.npz"
         cache_path = Path(cache_dir) / tag
         if cache_path.is_file():
             blob = np.load(cache_path)

@@ -1,14 +1,13 @@
 """End-to-end top-k search: candidate generation, capacity-matching filter,
-then exact partitioned scoring, with bound-based pruning in the last two
-stages.
+then exact scoring, with bound-based pruning in the last two stages.
 
 Stage 1 ranks sets by accumulated centroid similarities.  Stage 2 keeps
 the top phi_r of them by the exact capacitated many-to-one score against
 each set's partitions, pruning with the greedy/pooled bounds.  Stage 3
-splits the query columns across a survivor's partitions along the stage-2
-assignment and sums exact thresholded matchings per partition, pruning
-with per-partition greedy bounds.  Queries are independent; every search
-call builds its own scratch state, so one engine serves many threads.
+scores each survivor with the exact thresholded matching against all of
+the set's vectors, pruning with bounds from one query-by-set product.
+Queries are independent; every search call builds its own scratch state,
+so one engine serves many threads.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from . import matching
 from .centroid_ann import EXACT_MODE_MAX_CENTROIDS, CentroidGraphIndex, top_centroids
 from .errors import DataError, UsageError
-from .mwmto import BoundPair, MwmtoResult, bounds_for_mwmto, mwmto_exact, partition_sims
+from .mwmto import BoundPair, bounds_for_mwmto, mwmto_exact, partition_sims
 from .partitions import PartitionIndex
 from .pruning import run_pruner
 from .quantizer import Codebook, ClusterAssignment, SetWeightIndex, VectorInvertedIndex
@@ -51,8 +50,8 @@ class SearchParams:
     def resolve(self, n_sets: int) -> "ResolvedParams":
         if self.k < 1:
             raise UsageError(f"k must be >= 1, got {self.k}")
-        if self.tau <= 0:
-            raise UsageError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau <= 1:
+            raise UsageError(f"tau must be in (0, 1], got {self.tau}")
         if self.phi_c < 1:
             raise UsageError(f"phi_c must be >= 1, got {self.phi_c}")
         if self.pruner not in PRUNER_NAMES:
@@ -134,16 +133,14 @@ class SearchResult:
 
 
 class _QueryState:
-    """Per-search scratch: float64 query matrix plus per-candidate memos so
-    bounds, exact capacity matchings, and partition splits are computed at
-    most once each."""
+    """Per-search scratch: the query matrix in float32 and float64, plus
+    per-candidate memos so stage-2 similarity tables and stage-3 exact
+    scores are computed at most once each."""
 
     def __init__(self, query: QueryTable):
         self.q32 = query.vectors
         self.q64 = query.vectors.astype(np.float64)
         self.sim_tables: dict[int, object] = {}
-        self.mwmto: dict[int, MwmtoResult] = {}
-        self.splits: dict[int, dict[int, list[int]]] = {}
         self.clustered: dict[int, tuple[float, int]] = {}
 
 
@@ -189,91 +186,39 @@ class SearchEngine:
             state.sim_tables[set_id] = table
         return table
 
-    def _mwmto(self, state: _QueryState, set_id: int, tau: float) -> MwmtoResult:
-        res = state.mwmto.get(set_id)
-        if res is None:
-            res = mwmto_exact(self._sim_table(state, set_id, tau))
-            state.mwmto[set_id] = res
-        return res
-
-    def _split(self, state: _QueryState, set_id: int, tau: float) -> dict[int, list[int]]:
-        """Query columns per partition group.  A single-group set takes every
-        query column (there is nothing to split); otherwise the exact
-        capacity-matching assignment decides, and unassigned columns
-        contribute to no group."""
-        split = state.splits.get(set_id)
-        if split is not None:
-            return split
-        pset = self.partition_index.of(set_id)
-        n_q = len(state.q64)
-        if len(pset.groups) == 1:
-            split = {0: list(range(n_q))}
-        else:
-            split = {g.group_id: [] for g in pset.groups}
-            for qi, gid in sorted(self._mwmto(state, set_id, tau).assignment.items()):
-                split[gid].append(qi)
-        state.splits[set_id] = split
-        return split
-
     def _clustered(self, state: _QueryState, set_id: int, tau: float) -> tuple[float, int]:
         cached = state.clustered.get(set_id)
-        if cached is not None:
-            return cached
-        pset = self.partition_index.of(set_id)
-        split = self._split(state, set_id, tau)
-        members = self.repo.vectors_of(set_id)
-        total = 0.0
-        cardinality = 0
-        for g in pset.groups:
-            qis = split.get(g.group_id, [])
-            if not qis:
-                continue
-            res = matching.unionability(state.q32[qis], members[g.member_indices], tau)
-            total += res.weight
-            cardinality += res.cardinality
-        state.clustered[set_id] = (total, cardinality)
-        return total, cardinality
+        if cached is None:
+            res = matching.unionability(state.q32, self.repo.vectors_of(set_id), tau)
+            cached = state.clustered[set_id] = (res.weight, res.cardinality)
+        return cached
 
     def _clustered_bounds(self, state: _QueryState, set_id: int, tau: float) -> BoundPair:
-        pset = self.partition_index.of(set_id)
-        split = self._split(state, set_id, tau)
-        members64 = self.repo.vectors_of(set_id).astype(np.float64)
+        """Bounds from one thresholded query-by-set product.  The upper bound
+        is the smaller of the row-max and column-max sums; the lower bound is
+        a greedy matching in which each query column, in input order, takes
+        its most similar still-free set column."""
+        sims = state.q64 @ self.repo.vectors_of(set_id).astype(np.float64).T
+        sims[sims < tau] = 0.0
+        ub = min(float(sims.max(axis=1).sum()), float(sims.max(axis=0).sum()))
         lb = 0.0
-        ub = 0.0
-        for g in pset.groups:
-            qis = split.get(g.group_id, [])
-            if not qis:
-                continue
-            sims = state.q64[qis] @ members64[g.member_indices].T
-            qi_idx, vj_idx = np.nonzero(sims >= tau)
-            if len(qi_idx) == 0:
-                continue
-            weights = sims[qi_idx, vj_idx]
-            order = np.lexsort((vj_idx, qi_idx, -weights))
-            take = min(len(qis), g.capacity)
-            ub += float(weights[order[:take]].sum())
-            used_q = set()
-            used_v = set()
-            for e in order:
-                qi, vj = int(qi_idx[e]), int(vj_idx[e])
-                if qi in used_q or vj in used_v:
-                    continue
-                used_q.add(qi)
-                used_v.add(vj)
-                lb += float(weights[e])
+        for row in sims:  # rows are views, so a taken column reads 0 below
+            j = int(row.argmax())
+            if row[j] > 0.0:
+                lb += float(row[j])
+                sims[:, j] = 0.0
         return BoundPair(min(lb, ub), ub)
 
     # -- public operations --------------------------------------------------
 
     def clustered_score(self, query: QueryTable, set_id: int, tau: float) -> tuple[float, int]:
-        """Exact partition-respecting score of one candidate: the query is
-        split across the set's partitions and each partition contributes an
-        exact thresholded matching."""
+        """Stage-3 score of one candidate: the exact thresholded matching of
+        the query against all of the set's vectors, as (weight, cardinality)."""
         self._check_query(query)
         return self._clustered(_QueryState(query), set_id, tau)
 
     def clustered_bounds(self, query: QueryTable, set_id: int, tau: float) -> BoundPair:
-        """Greedy per-partition sandwich around ``clustered_score``."""
+        """Greedy lower and row/column-max upper bound around ``clustered_score``."""
         self._check_query(query)
         return self._clustered_bounds(_QueryState(query), set_id, tau)
 
@@ -333,7 +278,7 @@ class SearchEngine:
             stage1_ids,
             resolved.phi_r,
             lambda sid: _pair(bounds_for_mwmto(self._sim_table(state, sid, tau))),
-            lambda sid: self._mwmto(state, sid, tau).score,
+            lambda sid: mwmto_exact(self._sim_table(state, sid, tau)).score,
         )
         diag.filter_candidates = len(ranked2)
         diag.filter_score_calls = stats2.score_calls

@@ -13,10 +13,10 @@ exact scorer so the same code serves every pipeline stage:
 
 All three break score ties by the lower set id so their outputs are
 directly comparable.  A candidate is only ever dropped without scoring
-when the top heap already holds m resolved scores at or above its upper
-bound, so the selected top-m set is exact whenever the upper bounds are
-valid; lower bounds are treated as hints only and never affect which
-candidates survive.
+when the top heap already holds m resolved scores above its upper bound
+by more than ``BOUND_SLACK``, so the selected top-m set is exact whenever
+the upper bounds are valid up to summation-order rounding; lower bounds
+are treated as hints only and never affect which candidates survive.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import UsageError
+
+BOUND_SLACK = 1e-9  # a bound summed in another order than its score can sit ulps below it
 
 
 @dataclass
@@ -148,10 +150,13 @@ class _TopHeap:
             return True
         return False
 
-    def dominates(self, ub: float, set_id: int) -> bool:
-        """True when m resolved scores already sit at or above (ub, id) in
-        tie order, so a candidate bounded by ub cannot enter the top m."""
-        return self.full() and (ub, -set_id) <= self._heap[0]
+    def dominates(self, ub: float) -> bool:
+        """True when m resolved scores already exceed ub by more than
+        ``BOUND_SLACK``, so a candidate bounded by ub cannot enter the top m
+        even if ub was rounded below its score.  A candidate whose bound
+        ties the m-th score is scored, and ``push_if_better`` applies the
+        tie order."""
+        return self.full() and ub + BOUND_SLACK < self._heap[0][0]
 
     def scores(self) -> list[float]:
         return [s for s, _ in self._heap]
@@ -202,7 +207,7 @@ def base_prune(
             continue
         lb, ub = bound_fn(sid)
         stats.bound_calls += 1
-        if heap.dominates(ub, sid):
+        if heap.dominates(ub):
             stats.note_discard(sid, ub, heap.scores())
             continue
         score = score_fn(sid)
@@ -248,7 +253,7 @@ def enhanced_prune(
             stats.score_calls += 1
             heap.push(cand.resolved_score, cand.set_id)
             return
-        if heap.dominates(cand.ub, cand.set_id):
+        if heap.dominates(cand.ub):
             stats.note_discard(cand.set_id, cand.ub, heap.scores())
             return
         cand.resolved_score = score_fn(cand.set_id)
@@ -270,9 +275,9 @@ def enhanced_prune(
         else:
             while len(pool) > 0 and ub >= pool.min_lb().lb and lb <= pool.min_ub().ub:
                 resolve(pool.extract_max_ub())
-                if heap.dominates(ub, sid):
+                if heap.dominates(ub):
                     break
-            if heap.dominates(ub, sid):
+            if heap.dominates(ub):
                 stats.note_discard(sid, ub, heap.scores())
             else:
                 pool.insert(cand)

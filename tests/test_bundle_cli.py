@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tusearch.bundle import component_sizes, load_bundle, save_bundle
+from tusearch.bundle import FORMAT_NAME, FORMAT_VERSION, component_sizes, load_bundle, save_bundle
 from tusearch.cli import main
 from tusearch.errors import DataError
 from tusearch.pipeline import SearchParams, build_engine
@@ -89,6 +89,19 @@ class TestBundleRoundTrip:
         with pytest.raises(DataError, match="format mismatch"):
             load_bundle(tmp_path / "v")
 
+    def test_corrupt_metadata_is_a_data_error(self, sources, tmp_path, capsys):
+        manifest, _, _ = sources
+        save_bundle(tmp_path / "j", build_engine(ingest_repository(manifest), seed=3))
+        meta_path = tmp_path / "j" / "bundle.json"
+        meta_path.write_text("{not json")
+        with pytest.raises(DataError, match="not JSON"):
+            load_bundle(tmp_path / "j")
+        assert main(["inspect", "--bundle", str(tmp_path / "j")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        meta_path.write_text(json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION}))
+        with pytest.raises(DataError, match="lacks"):
+            load_bundle(tmp_path / "j")
+
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(DataError, match="not a bundle"):
             load_bundle(tmp_path / "nope")
@@ -158,6 +171,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "\n" == err[err.index("\n"):]  # single line
+
+    def test_eval_rejects_bad_tau_before_ground_truth(self, sources, tmp_path, capsys):
+        manifest, queries, _ = sources
+        assert main([
+            "build", "--manifest", str(manifest), "--out", str(tmp_path / "b"), "--seed", "1",
+        ]) == 0
+        for tau in ("nan", "1.5"):
+            code = main([
+                "eval", "--bundle", str(tmp_path / "b"), "--queries", str(queries),
+                "--tau", tau, "--cache", str(tmp_path / "gt"),
+            ])
+            assert code == 2
+        assert not (tmp_path / "gt").exists()
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = main(["search", "--bundle", str(tmp_path / "missing"), "--query", "x.tsv"])

@@ -62,6 +62,12 @@ class TestOracle:
         ground_truth_rankings(queries, repo, 0.5, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("gt_*.npz"))) == 2
 
+    def test_cache_keys_nearby_taus_apart(self, small_world, tmp_path):
+        repo, queries = small_world
+        ground_truth_rankings(queries, repo, 0.7, cache_dir=tmp_path)
+        ground_truth_rankings(queries, repo, 0.7000001, cache_dir=tmp_path)
+        assert len(list(tmp_path.glob("gt_*.npz"))) == 2
+
 
 class TestRecall:
     def test_full_overlap(self):

@@ -260,6 +260,16 @@ class TestCrossStrategy:
             ep, _ = run_pruner("enhanced", order, m, bounds.__getitem__, scores.__getitem__)
             assert bf == bp == ep
 
+    def test_bound_rounded_below_a_tied_score_keeps_the_lower_id(self):
+        # set 3 ties set 5 exactly, but its bound was summed in another order
+        # and sits one ulp below the score it bounds
+        s = 2.5361
+        scores = {5: s, 3: s, 9: 0.4}
+        bounds = {5: (s, s), 3: (s - 0.1, float(np.nextafter(s, -np.inf))), 9: (0.3, 0.5)}
+        for name in ("bf", "base", "enhanced"):
+            got, _ = run_pruner(name, [5, 3, 9], 1, bounds.__getitem__, scores.__getitem__)
+            assert got == [(3, s)], name
+
     def test_unknown_pruner(self):
         with pytest.raises(UsageError):
             run_pruner("hybrid", [], 1, None, None)
