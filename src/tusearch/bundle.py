@@ -4,8 +4,13 @@ A bundle is a directory holding the canonical repository export plus every
 index component in little-endian binary form, described by a single
 ``bundle.json`` carrying the format version, the build configuration, and
 a sha256 checksum per component file.  Loading verifies the version first
-and every checksum second, before any parsing.  Nothing in a bundle
-depends on wall-clock time, so identical builds are byte-identical.
+and every checksum second, before any parsing; a component that then fails
+to decode is a data error too.  Nothing in a bundle depends on wall-clock
+time, so identical builds are byte-identical.
+
+Bundles written before the centroid graph was removed may list a
+``graph.bin`` component: its checksum is verified, and the file is then
+ignored.
 """
 
 from __future__ import annotations
@@ -17,12 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .centroid_ann import CentroidGraphIndex
 from .errors import DataError
 from .partitions import PartitionGroup, PartitionIndex, PartitionSet
 from .pipeline import SearchEngine
 from .quantizer import Codebook, ClusterAssignment, SetWeightIndex, VectorInvertedIndex
-from .repository import ingest_repository, write_repository
+from .repository import VectorSetRepository, ingest_repository, write_repository
 
 FORMAT_NAME = "tusearch-bundle"
 FORMAT_VERSION = 1
@@ -32,7 +36,6 @@ _CODEBOOK = "codebook.f32"
 _VECTOR_INDEX = "vector_index.bin"
 _WEIGHT_INDEX = "weight_index.bin"
 _PARTITIONS = "partitions.bin"
-_GRAPH = "graph.bin"
 _META = "bundle.json"
 
 
@@ -58,16 +61,34 @@ def _pack_vector_index(iv: VectorInvertedIndex) -> bytes:
     return offsets.tobytes() + b"".join(blocks)
 
 
-def _unpack_vector_index(raw: bytes, n_c: int) -> VectorInvertedIndex:
+def _unpack_vector_index(
+    raw: bytes, n_c: int, repo: VectorSetRepository
+) -> tuple[VectorInvertedIndex, ClusterAssignment]:
+    """The centroid -> vectors lists, and the owner of every repository
+    vector read back from them; the handles must cover each vector once."""
     head = (n_c + 1) * 8
+    if len(raw) < head or (len(raw) - head) % 8:
+        raise DataError(f"{_VECTOR_INDEX} has a bad length: {len(raw)} bytes for {n_c} centroids")
     offsets = np.frombuffer(raw[:head], dtype="<i8")
     handles = np.frombuffer(raw[head:], dtype="<i4").reshape(-1, 2)
+    if offsets[0] != 0 or offsets[-1] != len(handles) or (np.diff(offsets) < 0).any():
+        raise DataError(f"{_VECTOR_INDEX} offsets do not span its handles")
+    sets, within = handles[:, 0].astype(np.int64), handles[:, 1].astype(np.int64)
+    if ((sets < 0) | (sets >= repo.n_sets)).any():
+        raise DataError(f"{_VECTOR_INDEX} names a set outside the repository")
+    if ((within < 0) | (within >= repo.sizes()[sets])).any():
+        raise DataError(f"{_VECTOR_INDEX} names a vector outside its set")
+    rows = repo.offsets[sets] + within
+    if len(rows) != repo.total_vectors or (np.bincount(rows, minlength=len(rows)) != 1).any():
+        raise DataError(f"{_VECTOR_INDEX} does not hold each repository vector once")
+    flat = np.empty(repo.total_vectors, dtype=np.int32)
     lists = {}
     for c in range(n_c):
         lo, hi = offsets[c], offsets[c + 1]
         if hi > lo:
             lists[c] = handles[lo:hi].astype(np.int32)
-    return VectorInvertedIndex(lists, n_c=n_c)
+            flat[rows[lo:hi]] = c
+    return VectorInvertedIndex(lists, n_c=n_c), ClusterAssignment(flat, repo.offsets.copy())
 
 
 def _pack_weight_index(iw: SetWeightIndex, n_sets: int) -> bytes:
@@ -90,8 +111,12 @@ def _pack_weight_index(iw: SetWeightIndex, n_sets: int) -> bytes:
 
 def _unpack_weight_index(raw: bytes, n_sets: int) -> SetWeightIndex:
     head = (n_sets + 1) * 8
+    if len(raw) < head:
+        raise DataError(f"{_WEIGHT_INDEX} has a bad length: {len(raw)} bytes for {n_sets} sets")
     offsets = np.frombuffer(raw[:head], dtype="<i8")
     total = int(offsets[-1])
+    if offsets[0] != 0 or (np.diff(offsets) < 0).any() or len(raw) != head + 8 * total:
+        raise DataError(f"{_WEIGHT_INDEX} offsets do not span its entries")
     cids = np.frombuffer(raw[head : head + 4 * total], dtype="<i4")
     counts = np.frombuffer(raw[head + 4 * total : head + 8 * total], dtype="<i4")
     weights = {}
@@ -115,68 +140,37 @@ def _pack_partitions(pindex: PartitionIndex, n_sets: int) -> bytes:
     return b"".join(out)
 
 
-def _unpack_partitions(raw: bytes, n_sets: int) -> PartitionIndex:
+def _unpack_partitions(raw: bytes, n_c: int, repo: VectorSetRepository) -> PartitionIndex:
+    """Struct and buffer errors from a short payload are left to the caller;
+    counts and centroid ids that would decode silently wrong are checked here."""
     pos = 0
     rho_low, rho_high = struct.unpack_from("<dd", raw, pos)
     pos += 16
     entries = {}
-    for sid in range(n_sets):
+    for sid in range(repo.n_sets):
         n_groups, n_casc, d_casc = struct.unpack_from("<iii", raw, pos)
         pos += 12
+        if n_groups < 0 or n_casc < 0 or d_casc != repo.dimension:
+            raise DataError(f"{_PARTITIONS}: bad header for set {sid}")
         groups = []
         for gid in range(n_groups):
             n_cids, n_members = struct.unpack_from("<ii", raw, pos)
             pos += 8
-            cids = np.frombuffer(raw, dtype="<i4", count=n_cids, offset=pos)
+            if n_cids < 1 or n_members < 0:
+                raise DataError(f"{_PARTITIONS}: bad group header in set {sid}")
+            cids = tuple(np.frombuffer(raw, dtype="<i4", count=n_cids, offset=pos).tolist())
             pos += 4 * n_cids
+            if min(cids) < 0 or max(cids) >= n_c + n_casc:
+                raise DataError(f"{_PARTITIONS}: centroid id out of range in set {sid}")
             members = np.frombuffer(raw, dtype="<i4", count=n_members, offset=pos)
             pos += 4 * n_members
-            groups.append(PartitionGroup(gid, tuple(int(c) for c in cids), members.astype(np.int32)))
+            groups.append(PartitionGroup(gid, cids, members.astype(np.int32)))
         cascade = np.frombuffer(raw, dtype="<f4", count=n_casc * d_casc, offset=pos).reshape(n_casc, d_casc)
         pos += 4 * n_casc * d_casc
         entries[sid] = PartitionSet(sid, groups, cascade.astype(np.float32))
+    if pos != len(raw):
+        raise DataError(f"{_PARTITIONS}: {len(raw) - pos} trailing bytes")
     return PartitionIndex(entries, rho_low, rho_high)
-
-
-def _pack_graph(graph: CentroidGraphIndex) -> bytes:
-    out = [struct.pack("<iiiii", graph.n_nodes, len(graph.layers), graph.entry_point,
-                       graph.m, graph.ef_construction)]
-    out.append(struct.pack("<i", graph.seed))
-    out.append(graph.levels.astype("<i4").tobytes())
-    for adj in graph.layers:
-        nodes = sorted(adj)
-        out.append(struct.pack("<i", len(nodes)))
-        for node in nodes:
-            nbrs = adj[node]
-            out.append(struct.pack("<ii", node, len(nbrs)))
-            out.append(np.asarray(nbrs, dtype="<i4").tobytes())
-    return b"".join(out)
-
-
-def _unpack_graph(raw: bytes, centroids: np.ndarray) -> CentroidGraphIndex:
-    pos = 0
-    n_nodes, n_layers, entry, m, ef_c = struct.unpack_from("<iiiii", raw, pos)
-    pos += 20
-    (seed,) = struct.unpack_from("<i", raw, pos)
-    pos += 4
-    levels = np.frombuffer(raw, dtype="<i4", count=n_nodes, offset=pos).astype(np.int64)
-    pos += 4 * n_nodes
-    layers = []
-    for _ in range(n_layers):
-        (count,) = struct.unpack_from("<i", raw, pos)
-        pos += 4
-        adj = {}
-        for _ in range(count):
-            node, deg = struct.unpack_from("<ii", raw, pos)
-            pos += 8
-            adj[node] = list(np.frombuffer(raw, dtype="<i4", count=deg, offset=pos))
-            pos += 4 * deg
-        layers.append(adj)
-    return CentroidGraphIndex(
-        vectors=centroids.astype(np.float64),
-        layers=layers, levels=levels, entry_point=entry,
-        m=m, ef_construction=ef_c, seed=seed,
-    )
 
 
 def save_bundle(directory, engine: SearchEngine) -> Path:
@@ -192,9 +186,6 @@ def save_bundle(directory, engine: SearchEngine) -> Path:
         f"{_REPO_STEM}.tsv", f"{_REPO_STEM}.f32",
         _CODEBOOK, _VECTOR_INDEX, _WEIGHT_INDEX, _PARTITIONS,
     ]
-    if engine.graph is not None:
-        (directory / _GRAPH).write_bytes(_pack_graph(engine.graph))
-        components.append(_GRAPH)
     config = dict(engine.build_config)
     config.setdefault("n_c", engine.codebook.n_c)
     config.setdefault("seed", engine.codebook.train_seed)
@@ -244,22 +235,23 @@ def load_bundle(directory) -> SearchEngine:
         if got != expect:
             raise DataError(f"bundle checksum mismatch for {name}: {got} != {expect}")
     config = meta["config"]
+    n_c, seed = config.get("n_c"), config.get("seed", 0)
+    if not all(type(v) is int for v in (n_c, seed)):
+        raise DataError(f"bundle config n_c and seed must be integers, got {n_c!r} and {seed!r}")
     repo = ingest_repository(directory / f"{_REPO_STEM}.tsv")
-    n_c = int(config["n_c"])
-    centroids = np.frombuffer((directory / _CODEBOOK).read_bytes(), dtype="<f4").reshape(n_c, repo.dimension)
-    codebook = Codebook(centroids.astype(np.float32), train_seed=int(config.get("seed", 0)))
-    iv = _unpack_vector_index((directory / _VECTOR_INDEX).read_bytes(), n_c)
+    raw = (directory / _CODEBOOK).read_bytes()
+    if len(raw) != 4 * n_c * repo.dimension:
+        raise DataError(f"{_CODEBOOK} holds {len(raw)} bytes, not {n_c} x {repo.dimension} float32")
+    centroids = np.frombuffer(raw, dtype="<f4").reshape(n_c, repo.dimension)
+    codebook = Codebook(centroids.astype(np.float32), train_seed=seed)
+    iv, assignment = _unpack_vector_index((directory / _VECTOR_INDEX).read_bytes(), n_c, repo)
     iw = _unpack_weight_index((directory / _WEIGHT_INDEX).read_bytes(), repo.n_sets)
-    pindex = _unpack_partitions((directory / _PARTITIONS).read_bytes(), repo.n_sets)
-    flat = np.empty(repo.total_vectors, dtype=np.int32)
-    for c, handles in iv.lists.items():
-        rows = repo.offsets[handles[:, 0]] + handles[:, 1]
-        flat[rows] = c
-    assignment = ClusterAssignment(flat, repo.offsets.copy())
-    graph = None
-    if _GRAPH in meta["components"]:
-        graph = _unpack_graph((directory / _GRAPH).read_bytes(), codebook.centroids)
-    return SearchEngine(repo, codebook, assignment, iv, iw, pindex, graph, config)
+    raw = (directory / _PARTITIONS).read_bytes()
+    try:
+        pindex = _unpack_partitions(raw, n_c, repo)
+    except (struct.error, ValueError) as exc:  # a count runs past the end of the payload
+        raise DataError(f"{_PARTITIONS} is truncated or malformed: {exc}") from None
+    return SearchEngine(repo, codebook, assignment, iv, iw, pindex, config)
 
 
 def component_sizes(directory) -> dict[str, int]:

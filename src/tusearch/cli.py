@@ -7,8 +7,8 @@ sweep), and ``inspect`` (bundle statistics).  All stochastic components
 take their randomness from ``--seed``, so every command is deterministic
 given its flags.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 internal invariant
-violation.  Errors print one ``error: ...`` line on stderr.
+Exit codes: 0 success, 2 usage error, 3 data or file-system error, 4 internal
+invariant violation.  Errors print one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -49,17 +49,13 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phi-ref", type=int, default=None, help="refinement pool size (default 5k)")
     p.add_argument("--phi-r", type=int, default=None, help="filter pool size (default 3k)")
     p.add_argument("--pruner", choices=["bf", "base", "enhanced"], default="enhanced")
-    p.add_argument("--ann", choices=["auto", "exact", "graph"], default="auto",
-                   help="centroid retrieval mode (default auto)")
-    p.add_argument("--ef-search", type=int, default=None,
-                   help="graph beam width (default max(64, 2*phi_c))")
 
 
 def _params(args) -> SearchParams:
     return SearchParams(
         k=args.k, tau=args.tau, phi_c=args.phi_c,
         phi_ref=args.phi_ref, phi_r=args.phi_r,
-        pruner=args.pruner, ann_mode=args.ann, ef_search=args.ef_search,
+        pruner=args.pruner,
     )
 
 
@@ -87,17 +83,13 @@ def cmd_synth(args) -> int:
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     repo = ingest_repository(args.manifest)
-    with_graph = {"auto": None, "always": True, "never": False}[args.graph]
     engine = build_engine(
         repo,
         n_c=args.n_c,
         rho_low=args.rho_l,
         rho_high=args.rho_h,
-        m_graph=args.M,
-        ef_construction=args.ef_construction,
         seed=args.seed,
         single_partition=args.single_partition,
-        with_graph=with_graph,
     )
     out = bundle_io.save_bundle(args.out, engine)
     elapsed = time.perf_counter() - t0
@@ -226,12 +218,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-c", type=int, default=None, help="codebook size (default ceil(sqrt(N)))")
     p.add_argument("--rho-l", type=float, default=0.2, help="lower dispersion threshold")
     p.add_argument("--rho-h", type=float, default=0.8, help="upper dispersion threshold")
-    p.add_argument("-M", type=int, default=16, help="graph neighbors per node")
-    p.add_argument("--ef-construction", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--single-partition", action="store_true",
                    help="one partition per set in the stage-2 filter")
-    p.add_argument("--graph", choices=["auto", "always", "never"], default="auto")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("search", help="run one query against a bundle")
@@ -271,7 +260,7 @@ def main(argv=None) -> int:
     except TuSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,13 +1,14 @@
 """End-to-end top-k search: candidate generation, capacity-matching filter,
 then exact scoring, with bound-based pruning in the last two stages.
 
-Stage 1 ranks sets by accumulated centroid similarities.  Stage 2 keeps
-the top phi_r of them by the exact capacitated many-to-one score against
-each set's partitions, pruning with the greedy/pooled bounds.  Stage 3
-scores each survivor with the exact thresholded matching against all of
-the set's vectors, pruning with bounds from one query-by-set product.
-Queries are independent; every search call builds its own scratch state,
-so one engine serves many threads.
+Stage 1 takes every query column's top ``phi_c`` centroids from one exact
+flat scan of the codebook and ranks sets by accumulated centroid
+similarities.  Stage 2 keeps the top phi_r of them by the exact
+capacitated many-to-one score against each set's partitions, pruning with
+the greedy/pooled bounds.  Stage 3 scores each survivor with the exact
+thresholded matching against all of the set's vectors, pruning with bounds
+from one query-by-set product.  Queries are independent; every search call
+builds its own scratch state, so one engine serves many threads.
 """
 
 from __future__ import annotations
@@ -19,17 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matching
-from .centroid_ann import EXACT_MODE_MAX_CENTROIDS, CentroidGraphIndex, top_centroids
 from .errors import DataError, UsageError
 from .mwmto import BoundPair, bounds_for_mwmto, mwmto_exact, partition_sims
 from .partitions import PartitionIndex
 from .pruning import run_pruner
-from .quantizer import Codebook, ClusterAssignment, SetWeightIndex, VectorInvertedIndex
+from .quantizer import Codebook, ClusterAssignment, SetWeightIndex, VectorInvertedIndex, top_centroids
 from .refinement import build_postings, refine
 from .repository import QueryTable, VectorSetRepository
 
 PRUNER_NAMES = ("bf", "base", "enhanced")
-ANN_MODES = ("auto", "exact", "graph")
 
 
 @dataclass
@@ -43,9 +42,6 @@ class SearchParams:
     phi_ref: int | None = None
     phi_r: int | None = None
     pruner: str = "enhanced"
-    ann_mode: str = "auto"
-    ef_search: int | None = None
-    mark_visited_on_block: bool = True
 
     def resolve(self, n_sets: int) -> "ResolvedParams":
         if self.k < 1:
@@ -56,8 +52,6 @@ class SearchParams:
             raise UsageError(f"phi_c must be >= 1, got {self.phi_c}")
         if self.pruner not in PRUNER_NAMES:
             raise UsageError(f"pruner must be one of {PRUNER_NAMES}, got {self.pruner!r}")
-        if self.ann_mode not in ANN_MODES:
-            raise UsageError(f"ann_mode must be one of {ANN_MODES}, got {self.ann_mode!r}")
         phi_r = 3 * self.k if self.phi_r is None else self.phi_r
         phi_ref = 5 * self.k if self.phi_ref is None else self.phi_ref
         if not self.k <= phi_r <= phi_ref:
@@ -76,9 +70,6 @@ class SearchParams:
             phi_ref=min(phi_ref, n_sets),
             phi_r=min(phi_r, n_sets),
             pruner=self.pruner,
-            ann_mode=self.ann_mode,
-            ef_search=self.ef_search,
-            mark_visited_on_block=self.mark_visited_on_block,
         )
 
 
@@ -90,9 +81,6 @@ class ResolvedParams:
     phi_ref: int
     phi_r: int
     pruner: str
-    ann_mode: str
-    ef_search: int | None
-    mark_visited_on_block: bool
 
 
 @dataclass
@@ -155,7 +143,6 @@ class SearchEngine:
         vector_index: VectorInvertedIndex,
         weight_index: SetWeightIndex,
         partition_index: PartitionIndex,
-        graph: CentroidGraphIndex | None = None,
         build_config: dict | None = None,
     ):
         self.repo = repo
@@ -164,20 +151,10 @@ class SearchEngine:
         self.vector_index = vector_index
         self.weight_index = weight_index
         self.partition_index = partition_index
-        self.graph = graph
         self.build_config = dict(build_config or {})
         self.postings = build_postings(vector_index, weight_index)
 
     # -- stage pieces -----------------------------------------------------
-
-    def _ann_mode(self, params: ResolvedParams) -> str:
-        if params.ann_mode == "auto":
-            if self.graph is not None and self.codebook.n_c > EXACT_MODE_MAX_CENTROIDS:
-                return "graph"
-            return "exact"
-        if params.ann_mode == "graph" and self.graph is None:
-            raise UsageError("graph mode requested but the bundle has no centroid graph")
-        return params.ann_mode
 
     def _sim_table(self, state: _QueryState, set_id: int, tau: float):
         table = state.sim_tables.get(set_id)
@@ -230,29 +207,18 @@ class SearchEngine:
         return self._refine(state, resolved, trace)
 
     def _refine(self, state: _QueryState, params: ResolvedParams, trace=None):
-        mode = self._ann_mode(params)
-        ef = params.ef_search if params.ef_search is not None else max(64, 2 * params.phi_c)
-
-        def top_of(qi: int):
-            return top_centroids(
-                self.codebook, state.q64[qi], params.phi_c,
-                mode=mode, graph=self.graph, ef_search=ef,
-            )
-
+        ids, sims = top_centroids(self.codebook, state.q64, params.phi_c)
         return refine(
             self.repo.n_sets,
             len(state.q64),
-            top_of,
+            lambda qi: list(zip(ids[qi].tolist(), sims[qi].tolist())),
             self.postings,
             params.phi_c,
             params.phi_ref,
-            mark_visited_on_block=params.mark_visited_on_block,
             trace=trace,
         )
 
     def _check_query(self, query: QueryTable) -> None:
-        if query.n_vectors < 1:
-            raise DataError("query table has no vectors")
         if query.dimension != self.repo.dimension:
             raise DataError(
                 f"dimension mismatch: {query.dimension} vs {self.repo.dimension}"
@@ -318,19 +284,11 @@ def build_engine(
     n_c: int | None = None,
     rho_low: float = 0.2,
     rho_high: float = 0.8,
-    m_graph: int = 16,
-    ef_construction: int = 200,
     seed: int = 0,
     kmeans_iters: int = 25,
     single_partition: bool = False,
-    with_graph: bool | None = None,
 ) -> SearchEngine:
-    """Train the codebook and assemble every index for a repository.
-
-    ``with_graph=None`` builds the centroid graph only when the codebook is
-    large enough that the flat scan stops being the obvious choice.
-    """
-    from .centroid_ann import build_centroid_index
+    """Train the codebook and assemble every index for a repository."""
     from .partitions import build_partition_index
     from .quantizer import assign_all, build_indexes, train_codebook
 
@@ -342,25 +300,15 @@ def build_engine(
         rho_low=rho_low, rho_high=rho_high, seed=seed,
         single_partition=single_partition,
     )
-    if with_graph is None:
-        with_graph = codebook.n_c > EXACT_MODE_MAX_CENTROIDS
-    graph = (
-        build_centroid_index(codebook, m=m_graph, ef_construction=ef_construction, seed=seed)
-        if with_graph
-        else None
-    )
     config = {
         "n_c": codebook.n_c,
         "rho_low": rho_low,
         "rho_high": rho_high,
-        "graph_m": m_graph,
-        "ef_construction": ef_construction,
         "seed": seed,
         "kmeans_iters": kmeans_iters,
         "single_partition": single_partition,
-        "with_graph": bool(with_graph),
         "dimension": repo.dimension,
         "n_sets": repo.n_sets,
         "total_vectors": repo.total_vectors,
     }
-    return SearchEngine(repo, codebook, assignment, iv, iw, pindex, graph, config)
+    return SearchEngine(repo, codebook, assignment, iv, iw, pindex, config)

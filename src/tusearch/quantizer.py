@@ -1,6 +1,7 @@
-"""K-means codebook over the aggregate vector pool, plus the two flat
-inverted indexes the engine is built on: centroid -> member vectors, and
-set -> per-centroid occupancy counts.
+"""K-means codebook over the aggregate vector pool, the exact batched scan
+for each query column's top centroids, and the two flat inverted indexes
+the engine is built on: centroid -> member vectors, and set -> per-centroid
+occupancy counts.
 
 Training is plain Lloyd iteration with seeded k-means++ initialization.
 Empty clusters are re-seeded with the point currently farthest from its
@@ -49,6 +50,20 @@ class Codebook:
 
     def centroids64(self) -> np.ndarray:
         return self.centroids.astype(np.float64)
+
+
+def top_centroids(codebook: Codebook, q64: np.ndarray, phi_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-``phi_c`` centroids by inner product for every query row.
+
+    Returns ``(ids, sims)``, each ``(n_q, min(phi_c, n_c))``, every row in
+    descending similarity.  The stable sort puts tied centroids lower id
+    first, also at the cut.
+    """
+    if phi_c < 1:
+        raise UsageError(f"phi_c must be >= 1, got {phi_c}")
+    sims = np.asarray(q64, dtype=np.float64) @ codebook.centroids64().T
+    ids = np.argsort(-sims, axis=1, kind="stable")[:, : min(phi_c, codebook.n_c)]
+    return ids, np.take_along_axis(sims, ids, axis=1)
 
 
 @dataclass

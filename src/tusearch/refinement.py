@@ -1,13 +1,15 @@
 """First-stage candidate generation.
 
-Every query vector contributes its top centroids to one global max-heap
-keyed by the centroid-query inner product.  Pairs drain in descending
-order; each drained (centroid, query vector) event visits every set with a
-member vector in that centroid.  A set accepts at most one score increment
-per query vector, and at most as many increments per centroid as it has
-member vectors there.  Scores accumulate raw inner products; no similarity
-threshold applies at this stage, so negative contributions are possible
-and simply rank low.
+Every query vector contributes its top centroids, found by one exact flat
+scan of the codebook, to one global max-heap keyed by the centroid-query
+inner product.  Pairs drain in descending order; each drained (centroid,
+query vector) event visits every set with a member vector in that
+centroid.  A query vector has one chance per set: its first event that
+touches the set.  That event adds to the set's score only while the set
+has fewer accepted increments in that centroid than member vectors there;
+a blocked event still spends the chance.  Scores accumulate raw inner
+products; no similarity threshold applies at this stage, so negative
+contributions are possible and simply rank low.
 
 Posting lists are pre-deduplicated to distinct set ids per centroid: the
 per-query-vector visit flag makes per-vector iteration redundant, so one
@@ -51,16 +53,12 @@ def refine(
     postings: dict[int, tuple[np.ndarray, np.ndarray]],
     phi_c: int,
     phi_ref: int,
-    mark_visited_on_block: bool = True,
     trace: RefinementTrace | None = None,
 ) -> list[tuple[int, float]]:
     """Return up to ``phi_ref`` set ids ranked by accumulated score.
 
     ``top_centroids_of(qi)`` supplies the (centroid id, similarity) list for
-    query vector ``qi``; retrieval mode stays the caller's concern.  With
-    ``mark_visited_on_block`` a query vector spends its one chance per set on
-    its best-ranked event even when the capacity check rejects it, which can
-    lower scores; turn it off to let blocked vectors retry on later events.
+    query vector ``qi``, best first.
     """
     if phi_c < 1 or phi_ref < 1:
         raise UsageError(f"phi_c and phi_ref must be >= 1, got {phi_c}, {phi_ref}")
@@ -97,10 +95,7 @@ def refine(
         used_c[take] += 1
         scores[sets[take]] += sim
         touched[sets] = True
-        if mark_visited_on_block:
-            visited[sets, qi] = True
-        else:
-            visited[sets[take], qi] = True
+        visited[sets, qi] = True
         if trace is not None:
             for s in sets[take]:
                 trace.accepted.append((int(s), qi, cid, sim))

@@ -79,9 +79,24 @@ class VectorSet:
 
 @dataclass(frozen=True)
 class QueryTable:
-    """The query table's columns as unit vectors."""
+    """The query table's columns as unit vectors.  Construction checks that
+    the rows form a non-empty 2-d array of finite, unit-length vectors
+    (within ``UNIT_TOL``); anything else is a data error."""
 
     vectors: np.ndarray  # (m, d) float32, unit rows
+
+    def __post_init__(self):
+        rows = np.asarray(self.vectors)
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
+            raise DataError(f"query table must be a non-empty 2-d array, got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise DataError("query table has non-finite entries")
+        norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+        off = np.abs(norms - 1.0) > UNIT_TOL
+        if off.any():
+            j = int(np.flatnonzero(off)[0])
+            raise DataError(f"query column {j} has norm {norms[j]:.9g}, not unit length")
+        object.__setattr__(self, "vectors", rows)
 
     @property
     def n_vectors(self) -> int:
@@ -158,7 +173,10 @@ def _parse_manifest(manifest_path: Path):
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise DataError(f"manifest not found: {manifest_path}")
-    lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest is not UTF-8 text: {manifest_path}: {exc}") from None
     if not lines:
         raise DataError(f"empty manifest: {manifest_path}")
     header = lines[0].split("\t")
@@ -183,6 +201,8 @@ def _parse_manifest(manifest_path: Path):
             raise DataError(f"bad manifest record at line {lineno}: {line!r}") from None
         if count < 1:
             raise DataError(f"empty vector set {set_id}")
+        if offset < 0:
+            raise DataError(f"negative payload offset at line {lineno}: {offset}")
         records.append((set_id, count, manifest_path.parent / parts[2], offset))
     if not records:
         raise DataError(f"manifest has no records: {manifest_path}")

@@ -1,6 +1,8 @@
 """Bundle persistence and the command-line surface."""
 
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -32,6 +34,25 @@ def sources(tmp_path_factory):
     return manifest, queries, single
 
 
+@pytest.fixture(scope="module")
+def saved(sources, tmp_path_factory):
+    """One saved bundle; tests that change it work on a copy."""
+    engine = build_engine(ingest_repository(sources[0]), seed=3)
+    return save_bundle(tmp_path_factory.mktemp("saved") / "b", engine)
+
+
+def rewrite_component(bundle, name, raw):
+    """Replace one component's bytes and record their checksum, so that
+    loading gets past verification to the decoder."""
+    (bundle / name).write_bytes(raw)
+    meta_path = bundle / "bundle.json"
+    meta = json.loads(meta_path.read_text())
+    if name not in meta["components"]:
+        meta["components"].append(name)
+    meta["checksums"][name] = hashlib.sha256(raw).hexdigest()
+    meta_path.write_text(json.dumps(meta))
+
+
 class TestBundleRoundTrip:
     def test_save_load_search_equivalence(self, sources, tmp_path):
         manifest, _, _ = sources
@@ -57,16 +78,6 @@ class TestBundleRoundTrip:
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
 
-    def test_graph_survives_round_trip(self, sources, tmp_path):
-        manifest, _, _ = sources
-        repo = ingest_repository(manifest)
-        engine = build_engine(repo, seed=3, with_graph=True)
-        save_bundle(tmp_path / "g", engine)
-        loaded = load_bundle(tmp_path / "g")
-        assert loaded.graph is not None
-        assert loaded.graph.entry_point == engine.graph.entry_point
-        assert loaded.graph.layers == engine.graph.layers
-
     def test_corruption_detected(self, sources, tmp_path):
         manifest, _, _ = sources
         repo = ingest_repository(manifest)
@@ -77,6 +88,30 @@ class TestBundleRoundTrip:
         victim.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="checksum mismatch"):
             load_bundle(tmp_path / "c")
+
+    @pytest.mark.parametrize(
+        "name", ["codebook.f32", "vector_index.bin", "weight_index.bin", "partitions.bin"]
+    )
+    def test_truncated_component_is_a_data_error(self, saved, tmp_path, capsys, name):
+        bundle = shutil.copytree(saved, tmp_path / "t")
+        raw = (bundle / name).read_bytes()
+        rewrite_component(bundle, name, raw[: len(raw) // 2])
+        with pytest.raises(DataError, match=name.replace(".", r"\.")):
+            load_bundle(bundle)
+        assert main(["inspect", "--bundle", str(bundle)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_legacy_graph_component_is_verified_then_ignored(self, saved, sources, tmp_path):
+        # bundles from before the centroid graph was removed may list graph.bin
+        bundle = shutil.copytree(saved, tmp_path / "g")
+        rewrite_component(bundle, "graph.bin", b"\x01\x00\x00\x00" * 16)
+        query = QueryTable(ingest_repository(sources[0]).vectors_of(5))
+        params = SearchParams(k=5, tau=0.7, phi_c=8)
+        want = load_bundle(saved).search(query, params).items
+        assert load_bundle(bundle).search(query, params).items == want
+        (bundle / "graph.bin").write_bytes(b"\x02")
+        with pytest.raises(DataError, match="checksum mismatch for graph.bin"):
+            load_bundle(bundle)
 
     def test_version_mismatch_fails_before_parsing(self, sources, tmp_path):
         manifest, _, _ = sources
@@ -184,6 +219,13 @@ class TestCli:
             ])
             assert code == 2
         assert not (tmp_path / "gt").exists()
+
+    def test_build_onto_existing_file_exits_3(self, sources, tmp_path, capsys):
+        manifest, _, _ = sources
+        occupied = tmp_path / "occupied"
+        occupied.write_text("not a directory")
+        assert main(["build", "--manifest", str(manifest), "--out", str(occupied)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         code = main(["search", "--bundle", str(tmp_path / "missing"), "--query", "x.tsv"])

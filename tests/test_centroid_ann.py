@@ -1,155 +1,82 @@
-"""Flat and graph-based nearest-centroid retrieval."""
+"""Stage-1 centroid retrieval: the exact, batched flat scan
+``quantizer.top_centroids`` (traced as the ``centroid_ann.top`` layer)."""
 
 import numpy as np
 import pytest
 
 from oracles import random_unit_rows
-from tusearch.centroid_ann import (
-    build_centroid_index,
-    exact_top_centroids,
-    top_centroids,
-)
 from tusearch.errors import UsageError
-from tusearch.quantizer import Codebook, train_kmeans
+from tusearch.quantizer import Codebook, top_centroids
+
+
+def top_ids(cb, q, phi_c):
+    ids, _ = top_centroids(cb, np.atleast_2d(q).astype(np.float64), phi_c)
+    return ids.tolist()
+
+
+def sorted_key_oracle(sims, phi_c):
+    n_c = sims.shape[1]
+    return [sorted(range(n_c), key=lambda c: (-row[c], c))[:phi_c] for row in sims]
 
 
 class TestExactMode:
     def test_full_order_when_phi_c_is_n_c(self):
         rng = np.random.default_rng(0)
         cb = Codebook(random_unit_rows(rng, 20, 8), train_seed=0)
-        q = random_unit_rows(rng, 1, 8)[0]
-        got = exact_top_centroids(cb, q, 20)
-        sims = cb.centroids64() @ q.astype(np.float64)
-        assert len(got) == 20
-        assert [cid for cid, _ in got] == sorted(range(20), key=lambda c: (-sims[c], c))
+        q = random_unit_rows(rng, 3, 8).astype(np.float64)
+        ids, sims = top_centroids(cb, q, 20)
+        assert ids.shape == sims.shape == (3, 20)
+        assert ids.tolist() == sorted_key_oracle(q @ cb.centroids64().T, 20)
 
     def test_query_equals_centroid(self):
         rng = np.random.default_rng(1)
         cb = Codebook(random_unit_rows(rng, 10, 8), train_seed=0)
-        q = cb.centroids[4]
-        assert exact_top_centroids(cb, q, 1)[0][0] == 4
+        assert top_ids(cb, cb.centroids[[4, 7]], 1) == [[4], [7]]
 
     def test_overask_returns_all(self):
         rng = np.random.default_rng(2)
         cb = Codebook(random_unit_rows(rng, 5, 4), train_seed=0)
-        assert len(exact_top_centroids(cb, cb.centroids[0], 50)) == 5
+        ids, sims = top_centroids(cb, cb.centroids64()[:2], 50)
+        assert ids.shape == sims.shape == (2, 5)
+        assert all(sorted(row) == list(range(5)) for row in ids.tolist())
 
     def test_tie_goes_to_lower_id(self):
         cents = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], dtype=np.float32)
         cb = Codebook(cents, train_seed=0)
-        got = exact_top_centroids(cb, np.array([1.0, 0.0]), 3)
-        assert [cid for cid, _ in got] == [1, 2, 0]
+        assert top_ids(cb, [1.0, 0.0], 3) == [[1, 2, 0]]
+        # a tie that straddles the cut keeps the lower id
+        assert top_ids(cb, [1.0, 0.0], 1) == [[1]]
 
 
-class TestGraphIndex:
-    def test_single_node(self):
-        cb = Codebook(np.array([[1.0, 0.0]], dtype=np.float32), train_seed=0)
-        g = build_centroid_index(cb, m=4, ef_construction=10, seed=0)
-        assert g.entry_point == 0
-        assert g.search(np.array([1.0, 0.0]), 1, 8) == [(0, pytest.approx(1.0))]
+class TestBatchedScan:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sorted_key_on_random_codebooks(self, seed):
+        rng = np.random.default_rng(seed)
+        for n_c, d in ((1, 3), (7, 4), (60, 8), (300, 16)):
+            cb = Codebook(random_unit_rows(rng, n_c, d), train_seed=0)
+            q = random_unit_rows(rng, 9, d).astype(np.float64)
+            sims = q @ cb.centroids64().T
+            for phi_c in (1, 5, 32, n_c + 3):
+                ids, got = top_centroids(cb, q, phi_c)
+                assert ids.tolist() == sorted_key_oracle(sims, phi_c)
+                assert np.array_equal(got, np.take_along_axis(sims, ids, axis=1))
 
-    def test_defaults_recorded(self):
-        rng = np.random.default_rng(3)
-        cb = Codebook(random_unit_rows(rng, 50, 8), train_seed=0)
-        g = build_centroid_index(cb, seed=1)
-        assert g.m == 16
-        assert g.ef_construction == 200
-
-    def test_deterministic_build(self):
-        rng = np.random.default_rng(4)
-        cb = Codebook(random_unit_rows(rng, 120, 8), train_seed=0)
-        a = build_centroid_index(cb, m=8, ef_construction=40, seed=7)
-        b = build_centroid_index(cb, m=8, ef_construction=40, seed=7)
-        assert a.entry_point == b.entry_point
-        assert np.array_equal(a.levels, b.levels)
-        assert all(x == y for x, y in zip(a.layers, b.layers))
-
-    def test_degree_caps(self):
-        rng = np.random.default_rng(5)
-        cb = Codebook(random_unit_rows(rng, 300, 8), train_seed=0)
-        g = build_centroid_index(cb, m=6, ef_construction=30, seed=2)
-        for layer, adj in enumerate(g.layers):
-            cap = 12 if layer == 0 else 6
-            # connectivity repair may push a node one past the cap
-            assert all(len(nbrs) <= cap + 1 for nbrs in adj.values())
-
-    def test_layer0_contains_all_and_connected(self):
-        rng = np.random.default_rng(6)
-        cb = Codebook(random_unit_rows(rng, 200, 6), train_seed=0)
-        g = build_centroid_index(cb, m=6, ef_construction=30, seed=3)
-        assert set(g.layers[0].keys()) == set(range(200))
-        reached = {g.entry_point}
-        frontier = [g.entry_point]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.layers[0][u]:
-                    if v not in reached:
-                        reached.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        assert reached == set(range(200))
-
-    def test_no_duplicates_sorted_descending(self):
-        rng = np.random.default_rng(7)
-        cb = Codebook(random_unit_rows(rng, 400, 12), train_seed=0)
-        g = build_centroid_index(cb, m=8, ef_construction=60, seed=4)
-        for _ in range(20):
-            q = random_unit_rows(rng, 1, 12)[0]
-            out = g.search(q, 10, 40)
-            ids = [cid for cid, _ in out]
-            sims = [s for _, s in out]
-            assert len(set(ids)) == len(ids)
-            assert sims == sorted(sims, reverse=True)
-
-    def test_recall_at_10_on_large_random_codebook(self):
-        # flat scan is the oracle; ef_search=64 must recover >= 95% of the
-        # true top-10 on 10k random unit centroids
-        rng = np.random.default_rng(8)
-        cb = Codebook(random_unit_rows(rng, 10_000, 16), train_seed=0)
-        g = build_centroid_index(cb, m=16, ef_construction=200, seed=5)
-        hits = 0
-        trials = 50
-        for _ in range(trials):
-            q = random_unit_rows(rng, 1, 16)[0]
-            truth = {cid for cid, _ in exact_top_centroids(cb, q, 10)}
-            got = {cid for cid, _ in g.search(q, 10, 64)}
-            hits += len(got & truth)
-        assert hits / (10 * trials) >= 0.95
-
-    def test_overlap_with_exact_on_trained_codebook(self):
+    def test_ties_come_out_lower_id_first(self):
+        # entries on a quarter grid make every inner product exact, so the
+        # codebook is full of exact ties, also at the phi_c cut
         rng = np.random.default_rng(9)
-        points = random_unit_rows(rng, 3000, 12)
-        cb = train_kmeans(points, 256, max_iters=10, seed=6)
-        g = build_centroid_index(cb, m=16, ef_construction=100, seed=7)
-        overlaps = []
-        for _ in range(30):
-            q = random_unit_rows(rng, 1, 12)[0]
-            truth = {cid for cid, _ in exact_top_centroids(cb, q, 32)}
-            got = {cid for cid, _ in g.search(q, 32, 128)}
-            overlaps.append(len(got & truth) / 32)
-        assert float(np.mean(overlaps)) >= 0.90
+        cb = Codebook(rng.integers(-2, 3, size=(80, 4)) * 0.25, train_seed=0)
+        q = rng.integers(-2, 3, size=(12, 4)) * 0.25
+        sims = q @ cb.centroids64().T
+        assert len(np.unique(sims)) < sims.size // 4
+        for phi_c in (1, 6, 17, 80):
+            ids, got = top_centroids(cb, q, phi_c)
+            assert ids.tolist() == sorted_key_oracle(sims, phi_c)
+            for row_ids, row_sims in zip(ids, got):
+                tied = row_sims[1:] == row_sims[:-1]
+                assert (row_ids[1:][tied] > row_ids[:-1][tied]).all()
 
-
-class TestDispatch:
-    def test_exact_and_graph_modes(self):
-        rng = np.random.default_rng(10)
-        cb = Codebook(random_unit_rows(rng, 64, 8), train_seed=0)
-        g = build_centroid_index(cb, m=8, ef_construction=64, seed=8)
-        q = random_unit_rows(rng, 1, 8)[0]
-        exact = top_centroids(cb, q, 5, mode="exact")
-        graph = top_centroids(cb, q, 5, mode="graph", graph=g, ef_search=64)
-        assert len(exact) == len(graph) == 5
-        assert {c for c, _ in exact} == {c for c, _ in graph}
-
-    def test_graph_mode_requires_graph(self):
-        rng = np.random.default_rng(11)
-        cb = Codebook(random_unit_rows(rng, 8, 4), train_seed=0)
+    def test_phi_c_below_one_rejected(self):
+        cb = Codebook(np.eye(3, dtype=np.float32), train_seed=0)
         with pytest.raises(UsageError):
-            top_centroids(cb, cb.centroids[0], 2, mode="graph")
-
-    def test_unknown_mode(self):
-        rng = np.random.default_rng(12)
-        cb = Codebook(random_unit_rows(rng, 8, 4), train_seed=0)
-        with pytest.raises(UsageError):
-            top_centroids(cb, cb.centroids[0], 2, mode="bogus")
+            top_centroids(cb, np.eye(3), 0)

@@ -58,7 +58,6 @@ class TestParams:
             SearchParams(tau=1.5),
             SearchParams(phi_c=0),
             SearchParams(pruner="fast"),
-            SearchParams(ann_mode="hnsw"),
         ):
             with pytest.raises(UsageError):
                 params.resolve(100)
@@ -185,19 +184,20 @@ class TestSearch:
         with pytest.raises(DataError, match="dimension mismatch"):
             engine.search(bad, SearchParams())
 
-    def test_graph_mode_search_matches_exact_mode_mostly(self, workload):
-        repo, queries, _ = workload
-        engine = build_engine(repo, seed=5, with_graph=True)
-        exact = engine.search(queries[0], SearchParams(k=5, tau=0.7, ann_mode="exact"))
-        graph = engine.search(queries[0], SearchParams(k=5, tau=0.7, ann_mode="graph"))
-        # same engine, high-recall graph: identical top sets expected here
-        assert {s for s, _, _ in exact.items} == {s for s, _, _ in graph.items}
+    def test_one_centroid_scan_per_search(self, workload, monkeypatch):
+        import tusearch.pipeline
 
-    def test_graph_mode_without_graph_fails(self, workload):
         _, queries, engine = workload
-        assert engine.graph is None
-        with pytest.raises(UsageError, match="no centroid graph"):
-            engine.search(queries[0], SearchParams(ann_mode="graph"))
+        shapes = []
+        scan = tusearch.pipeline.top_centroids
+
+        def counting(codebook, q64, phi_c):
+            shapes.append(q64.shape)
+            return scan(codebook, q64, phi_c)
+
+        monkeypatch.setattr(tusearch.pipeline, "top_centroids", counting)
+        engine.search(queries[2], SearchParams(k=5, tau=0.7))
+        assert shapes == [queries[2].vectors.shape]
 
     def test_deterministic_search(self, workload):
         _, queries, engine = workload

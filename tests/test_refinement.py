@@ -59,16 +59,12 @@ class TestRefine:
         assert got == [(0, pytest.approx(0.9))]
 
     def test_visited_mark_spends_chance_even_when_blocked(self):
-        # query vector 1's best event is capacity-blocked; by default it may
-        # not retry on its weaker event
+        # query vector 1's best event is capacity-blocked; it may not retry
+        # on its weaker event
         postings, _ = make_postings([[2, 7]])
         tops = fixed_tops([[(2, 0.9)], [(2, 0.85), (7, 0.5)]])
         strict = refine(1, 2, tops, postings, phi_c=2, phi_ref=10)
         assert strict == [(0, pytest.approx(0.9))]
-        relaxed = refine(
-            1, 2, tops, postings, phi_c=2, phi_ref=10, mark_visited_on_block=False
-        )
-        assert relaxed == [(0, pytest.approx(1.4))]
 
     def test_phi_ref_truncates_ranking(self):
         postings, _ = make_postings([[0], [1], [2]])

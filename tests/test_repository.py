@@ -127,6 +127,20 @@ class TestIngest:
         with pytest.raises(DataError, match="dense"):
             ingest_repository(manifest)
 
+    def test_negative_offset_rejected(self, tmp_path):
+        manifest = write_manifest(tmp_path, [np.ones((2, 3))], 3)
+        lines = manifest.read_text().splitlines()
+        lines[1] = lines[1].rsplit("\t", 1)[0] + "\t-4"
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="negative payload offset"):
+            ingest_repository(manifest)
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        manifest = write_manifest(tmp_path, [np.ones((2, 3))], 3)
+        manifest.write_bytes(manifest.read_bytes().replace(b"VSETS", b"VS\xffTS"))
+        with pytest.raises(DataError, match="not UTF-8"):
+            ingest_repository(manifest)
+
     def test_truncated_payload(self, tmp_path):
         manifest = write_manifest(tmp_path, [np.ones((2, 3))], 3)
         payload = tmp_path / "repo.f32"
@@ -150,6 +164,30 @@ class TestQueryTables:
         batch_manifest = write_manifest(tmp_path, [rng.standard_normal((m, 3)) for m in (2, 3)], 3, stem="qs")
         batch = load_query_tables(batch_manifest)
         assert [q.n_vectors for q in batch] == [2, 3]
+
+    def test_unit_rows_accepted_within_tolerance(self):
+        rows = np.eye(3, dtype=np.float32)
+        rows[0, 0] += 1e-7
+        assert QueryTable(rows).n_vectors == 3
+        assert QueryTable([[0.6, 0.8]]).dimension == 2
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            # a NaN query used to score every set 0.0
+            (np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]]), "non-finite"),
+            (np.array([[np.inf, 0.0]]), "non-finite"),
+            # norm-5 rows used to score above the cardinality bound
+            (5.0 * np.eye(3), "norm 5"),
+            (np.array([[1.0, 0.0], [0.0, 1.0 + 1e-5]]), "column 1"),
+            (np.zeros((0, 3)), "non-empty 2-d"),
+            (np.ones(3) / np.sqrt(3), "non-empty 2-d"),
+            (np.zeros((2, 0)), "non-empty 2-d"),
+        ],
+    )
+    def test_bad_rows_rejected(self, rows, match):
+        with pytest.raises(DataError, match=match):
+            QueryTable(rows)
 
 
 class TestSynthetic:
