@@ -8,7 +8,7 @@ from .matching import (
     build_threshold_graph,
     unionability,
 )
-from .mwmto import BoundPair, bounds_for_mwmto, mwmto_exact, partition_sims
+from .mwmto import BoundPair, PartitionLayout, bounds_for_mwmto, mwmto_exact, partition_sims
 from .pipeline import SearchEngine, SearchParams, SearchResult, build_engine
 from .pruning import base_prune, enhanced_prune, exhaustive_rank
 from .quantizer import Codebook, assign_all, build_indexes, train_kmeans
@@ -30,6 +30,7 @@ __all__ = [
     "DataError",
     "InvariantError",
     "MatchingResult",
+    "PartitionLayout",
     "QueryTable",
     "SearchEngine",
     "SearchParams",

@@ -69,9 +69,10 @@ def solve_shifted_assignment(sims: np.ndarray, valid: np.ndarray) -> MatchingRes
     shift = 1.0 + float(sims[valid].sum())
     profit = np.where(valid, sims + shift, 0.0)
     rows, cols = linear_sum_assignment(profit, maximize=True)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if valid[i, j]]
-    weight = float(sum(sims[i, j] for i, j in pairs))
-    return MatchingResult(len(pairs), weight, pairs)
+    keep = valid[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    weight = float(sum(sims[rows, cols].tolist()))  # added left to right in row order
+    return MatchingResult(len(rows), weight, list(zip(rows.tolist(), cols.tolist())))
 
 
 def unionability(q_mat: np.ndarray, v_mat: np.ndarray, tau: float) -> MatchingResult:

@@ -6,12 +6,21 @@ taken at most |S| times.  A query vector's similarity to a group is the
 maximum inner product over the group's centroids, and only entries at or
 above the threshold participate.
 
+``PartitionLayout`` flattens a partition index once: one float64 matrix
+with the codebook rows followed by every set's cascade rows, and per set
+the span of its group-centroid row ids, its group starts and its group
+capacities.  ``partition_sims`` then builds the tables of all of a
+search's candidates from one product over their gathered rows and one
+``np.maximum.reduceat`` over the group starts.
+
 The exact score reuses the shifted-weight assignment reduction from
-``matching`` with each group expanded into capacity-many identical columns.
-The lower bound is a greedy capacity-respecting assignment (query vectors
-in input order, each taking its best group with remaining capacity); the
-upper bound pools every thresholded entry and sums the largest
-``min(n_query, set_size)`` of them, ignoring all pairing constraints.
+``matching`` with each group expanded into identical columns, as many as
+it can be used: its capacity, or the number of query vectors that reach
+it if fewer.  The lower bound is a greedy capacity-respecting assignment
+(query vectors in input order, each taking its best group with remaining
+capacity); the upper bound pools every thresholded entry and sums the
+largest ``min(n_query, set_size)`` of them, ignoring all pairing
+constraints.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 
 from .errors import InvariantError, UsageError
 from .matching import MatchingResult, solve_shifted_assignment
-from .partitions import PartitionSet
+from .partitions import PartitionIndex
 from .quantizer import Codebook
 
 
@@ -36,21 +45,103 @@ class BoundPair:
             raise InvariantError(f"bound pair out of order: lb={self.lb} > ub={self.ub}")
 
 
-@dataclass
 class PartitionSimTable:
-    """Per query vector, the (group_id, similarity) entries clearing tau,
-    plus the group capacities they draw from."""
+    """Thresholded similarities of every query vector to every group of one
+    set: ``sims`` is ``n_query x n_groups`` float64 holding 0 below tau,
+    ``valid`` marks the entries that clear tau, and ``capacities`` holds
+    each group's vector count.
 
-    rows: list[list[tuple[int, float]]]
-    capacities: list[int]
+    The constructor takes per query vector the (group_id, similarity)
+    entries clearing tau; ``partition_sims`` builds the dense form directly.
+    """
+
+    def __init__(self, rows: list[list[tuple[int, float]]], capacities):
+        self.capacities = np.asarray(capacities, dtype=np.int64)
+        self.sims = np.zeros((len(rows), len(self.capacities)))
+        self.valid = np.zeros(self.sims.shape, dtype=bool)
+        for qi, row in enumerate(rows):
+            for gid, s in row:
+                self.sims[qi, gid] = s
+                self.valid[qi, gid] = True
+
+    @classmethod
+    def dense(cls, sims: np.ndarray, valid: np.ndarray, capacities: np.ndarray) -> "PartitionSimTable":
+        """Wrap the three arrays as they are, without copying."""
+        table = cls.__new__(cls)
+        table.sims, table.valid, table.capacities = sims, valid, capacities
+        return table
 
     @property
     def n_query(self) -> int:
-        return len(self.rows)
+        return self.sims.shape[0]
 
     @property
     def set_size(self) -> int:
-        return sum(self.capacities)
+        return int(self.capacities.sum())
+
+
+@dataclass(frozen=True)
+class PartitionLayout:
+    """Every set's partition groups, flattened for batched stage 2.
+
+    ``matrix`` holds the codebook rows, then each set's cascade rows in set
+    order.  ``row_ids`` lists, set after set and group after group, the
+    matrix row of every group centroid: set ``s`` owns positions
+    ``row_ptr[s]:row_ptr[s + 1]`` and groups ``group_ptr[s]:group_ptr[s + 1]``;
+    group ``g`` starts at position ``group_start[g]`` and holds
+    ``capacities[g]`` of the set's vectors.
+    """
+
+    matrix: np.ndarray
+    row_ids: np.ndarray
+    row_ptr: np.ndarray
+    group_start: np.ndarray
+    group_ptr: np.ndarray
+    capacities: np.ndarray
+
+    @classmethod
+    def build(cls, pindex: PartitionIndex, cb: Codebook) -> "PartitionLayout":
+        cids: list[int] = []
+        starts: list[int] = []
+        caps: list[int] = []
+        n_rows: list[int] = []
+        n_groups: list[int] = []
+        cascades = [cb.centroids64()]
+        for sid in range(len(pindex.entries)):
+            pset = pindex.of(sid)
+            first = len(cids)
+            for g in pset.groups:
+                starts.append(len(cids))
+                cids.extend(g.centroid_ids)
+                caps.append(g.capacity)
+            n_rows.append(len(cids) - first)
+            n_groups.append(len(pset.groups))
+            cascades.append(pset.cascade_centroids)
+        # A cascade id n_c + j of set s is row n_c + j + (cascade rows of the
+        # sets before s).
+        n_cascade = np.array([len(c) for c in cascades[1:]], dtype=np.int64)
+        shift = np.repeat(np.cumsum(n_cascade) - n_cascade, n_rows)
+        row_ids = np.asarray(cids, dtype=np.int64)
+        row_ids = np.where(row_ids >= cb.n_c, row_ids + shift, row_ids)
+        return cls(
+            matrix=np.concatenate(cascades, dtype=np.float64),
+            row_ids=row_ids,
+            row_ptr=_offsets(n_rows),
+            group_start=np.asarray(starts, dtype=np.int64),
+            group_ptr=_offsets(n_groups),
+            capacities=np.asarray(caps, dtype=np.int64),
+        )
+
+
+def _offsets(counts: list[int]) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``range(s, s + n)`` over ``zip(starts, lengths)``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
 
 
 @dataclass(frozen=True)
@@ -60,66 +151,74 @@ class MwmtoResult:
     assignment: dict[int, int]  # query index -> group id
 
 
-def partition_sims(q_mat: np.ndarray, pset: PartitionSet, cb: Codebook, tau: float) -> PartitionSimTable:
-    """Thresholded max-over-group-centroid similarities for every query vector."""
+def partition_sims(
+    q64: np.ndarray, layout: PartitionLayout, set_ids, tau: float
+) -> dict[int, PartitionSimTable]:
+    """Thresholded max-over-group-centroid similarities of every query
+    vector to every group of each listed set, from one product over the
+    sets' gathered group-centroid rows."""
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
-    q64 = q_mat.astype(np.float64)
-    cents64 = cb.centroids64()
-    cascade64 = pset.cascade_centroids.astype(np.float64)
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(len(q64))]
-    for g in pset.groups:
-        mats = [
-            cents64[cid] if cid < cb.n_c else cascade64[cid - cb.n_c]
-            for cid in g.centroid_ids
-        ]
-        sims = (q64 @ np.stack(mats).T).max(axis=1)
-        for qi in np.flatnonzero(sims >= tau):
-            rows[int(qi)].append((g.group_id, float(sims[qi])))
-    return PartitionSimTable(rows, [g.capacity for g in pset.groups])
+    sids = np.asarray(set_ids, dtype=np.int64)
+    row0 = layout.row_ptr[sids]
+    n_rows = layout.row_ptr[sids + 1] - row0
+    group0 = layout.group_ptr[sids]
+    n_groups = layout.group_ptr[sids + 1] - group0
+    groups = _ranges(group0, n_groups)
+    # layout position minus gathered position, per set
+    moved = np.repeat(row0 - (np.cumsum(n_rows) - n_rows), n_groups)
+    rows = layout.matrix[layout.row_ids[_ranges(row0, n_rows)]]
+    sims = np.asarray(q64, dtype=np.float64) @ rows.T
+    if len(groups):
+        sims = np.maximum.reduceat(sims, layout.group_start[groups] - moved, axis=1)
+    valid = sims >= tau
+    sims[~valid] = 0.0
+    caps = layout.capacities[groups]
+    ends = np.cumsum(n_groups).tolist()
+    return {
+        sid: PartitionSimTable.dense(sims[:, a:b], valid[:, a:b], caps[a:b])
+        for sid, a, b in zip(sids.tolist(), [0] + ends[:-1], ends)
+    }
 
 
 def mwmto_exact(table: PartitionSimTable) -> MwmtoResult:
     """Maximum-cardinality-then-maximum-weight capacity-respecting assignment.
 
-    Groups are expanded into ``min(capacity, n_query)`` identical columns and
-    the expanded problem is solved exactly.
+    Each group is expanded into ``min(capacity, reach)`` identical columns,
+    ``reach`` being the number of query vectors with a valid entry in it,
+    and the expanded problem is solved exactly.  No assignment can use a
+    group more often, so the optimum is that of the full expansion; groups
+    that no query vector reaches drop out.
     """
-    n_q = table.n_query
-    col_group: list[int] = []
-    col_of_group: dict[int, slice] = {}
-    for gid, cap in enumerate(table.capacities):
-        copies = min(cap, n_q)
-        col_of_group[gid] = slice(len(col_group), len(col_group) + copies)
-        col_group.extend([gid] * copies)
-    if not col_group or n_q == 0:
+    copies = np.minimum(table.capacities, table.valid.sum(axis=0))
+    col_group = np.repeat(np.arange(len(copies)), copies)
+    if len(col_group) == 0:
         return MwmtoResult(0.0, 0, {})
-    sims = np.zeros((n_q, len(col_group)))
-    valid = np.zeros_like(sims, dtype=bool)
-    for qi, row in enumerate(table.rows):
-        for gid, s in row:
-            cols = col_of_group[gid]
-            sims[qi, cols] = s
-            valid[qi, cols] = True
-    res: MatchingResult = solve_shifted_assignment(sims, valid)
-    assignment = {qi: col_group[col] for qi, col in res.assignment}
+    res: MatchingResult = solve_shifted_assignment(
+        table.sims[:, col_group], table.valid[:, col_group]
+    )
+    assignment = {qi: int(col_group[col]) for qi, col in res.assignment}
     return MwmtoResult(res.weight, res.cardinality, assignment)
 
 
 def greedy_lower_bound(table: PartitionSimTable) -> tuple[float, dict[int, int]]:
     """Greedy capacity-respecting assignment: query vectors in input order,
     each takes its highest-similarity group with remaining capacity
-    (similarity ties go to the lower group id)."""
-    remaining = list(table.capacities)
+    (similarity ties go to the lower group id).  The valid entries are
+    ordered once by (query, -similarity, group) and walked once."""
+    qi, gid = np.nonzero(table.valid)
+    sim = table.sims[qi, gid]
+    order = np.lexsort((gid, -sim, qi))
+    remaining = table.capacities.tolist()
     lb = 0.0
     taken: dict[int, int] = {}
-    for qi, row in enumerate(table.rows):
-        for gid, s in sorted(row, key=lambda e: (-e[1], e[0])):
-            if remaining[gid] > 0:
-                lb += s
-                remaining[gid] -= 1
-                taken[qi] = gid
-                break
+    last = -1  # the last query that took a group
+    for q, g, s in zip(qi[order].tolist(), gid[order].tolist(), sim[order].tolist()):
+        if q != last and remaining[g] > 0:
+            lb += s
+            remaining[g] -= 1
+            taken[q] = g
+            last = q
     return lb, taken
 
 
@@ -131,8 +230,7 @@ def bounds_for_mwmto(table: PartitionSimTable) -> BoundPair:
     the threshold-reachable capacity.
     """
     lb, _ = greedy_lower_bound(table)
-    pool = [s for row in table.rows for _, s in row]
-    pool.sort(reverse=True)
+    pool = np.sort(table.sims[table.valid])[::-1]
     take = min(table.n_query, table.set_size)
-    ub = float(sum(pool[:take]))
+    ub = float(sum(pool[:take].tolist()))
     return BoundPair(lb, ub)

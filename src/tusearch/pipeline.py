@@ -5,9 +5,10 @@ Stage 1 takes every query column's top ``phi_c`` centroids from one exact
 flat scan of the codebook and ranks sets by accumulated centroid
 similarities.  Stage 2 keeps the top phi_r of them by the exact
 capacitated many-to-one score against each set's partitions, pruning with
-the greedy/pooled bounds.  Stage 3 scores each survivor with the exact
-thresholded matching against all of the set's vectors, pruning with bounds
-from one query-by-set product.  Queries are independent; every search call
+the greedy/pooled bounds; one product over the engine's flat partition
+layout gives the similarity tables of all stage-1 candidates.  Stage 3
+scores each survivor with the exact thresholded matching against all of
+the set's vectors, pruning with bounds from one query-by-set product.  Queries are independent; every search call
 builds its own scratch state, so one engine serves many threads.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import matching
 from .errors import DataError, UsageError
-from .mwmto import BoundPair, bounds_for_mwmto, mwmto_exact, partition_sims
+from .mwmto import BoundPair, PartitionLayout, bounds_for_mwmto, mwmto_exact, partition_sims
 from .partitions import PartitionIndex
 from .pruning import run_pruner
 from .quantizer import Codebook, ClusterAssignment, SetWeightIndex, VectorInvertedIndex, top_centroids
@@ -121,14 +122,12 @@ class SearchResult:
 
 
 class _QueryState:
-    """Per-search scratch: the query matrix in float32 and float64, plus
-    per-candidate memos so stage-2 similarity tables and stage-3 exact
-    scores are computed at most once each."""
+    """Per-search scratch: the query matrix in float32 and float64, plus a
+    per-candidate memo so stage-3 exact scores are computed at most once."""
 
     def __init__(self, query: QueryTable):
         self.q32 = query.vectors
         self.q64 = query.vectors.astype(np.float64)
-        self.sim_tables: dict[int, object] = {}
         self.clustered: dict[int, tuple[float, int]] = {}
 
 
@@ -153,15 +152,9 @@ class SearchEngine:
         self.partition_index = partition_index
         self.build_config = dict(build_config or {})
         self.postings = build_postings(vector_index, weight_index)
+        self.partition_layout = PartitionLayout.build(partition_index, codebook)
 
     # -- stage pieces -----------------------------------------------------
-
-    def _sim_table(self, state: _QueryState, set_id: int, tau: float):
-        table = state.sim_tables.get(set_id)
-        if table is None:
-            table = partition_sims(state.q64, self.partition_index.of(set_id), self.codebook, tau)
-            state.sim_tables[set_id] = table
-        return table
 
     def _clustered(self, state: _QueryState, set_id: int, tau: float) -> tuple[float, int]:
         cached = state.clustered.get(set_id)
@@ -239,12 +232,13 @@ class SearchEngine:
         t1 = time.perf_counter()
         diag.stage_seconds["refine"] = t1 - t0
 
+        tables = partition_sims(state.q64, self.partition_layout, stage1_ids, tau)
         ranked2, stats2 = run_pruner(
             resolved.pruner,
             stage1_ids,
             resolved.phi_r,
-            lambda sid: _pair(bounds_for_mwmto(self._sim_table(state, sid, tau))),
-            lambda sid: mwmto_exact(self._sim_table(state, sid, tau)).score,
+            lambda sid: _pair(bounds_for_mwmto(tables[sid])),
+            lambda sid: mwmto_exact(tables[sid]).score,
         )
         diag.filter_candidates = len(ranked2)
         diag.filter_score_calls = stats2.score_calls

@@ -39,6 +39,8 @@ class Codebook:
             raise DataError("codebook needs at least one centroid")
         if not np.isfinite(self.centroids).all():
             raise DataError("codebook contains non-finite centroids")
+        self._centroids64 = self.centroids.astype(np.float64)
+        self._centroids64.setflags(write=False)
 
     @property
     def n_c(self) -> int:
@@ -49,7 +51,8 @@ class Codebook:
         return self.centroids.shape[1]
 
     def centroids64(self) -> np.ndarray:
-        return self.centroids.astype(np.float64)
+        """The centroids in float64, converted once per codebook; read-only."""
+        return self._centroids64
 
 
 def top_centroids(codebook: Codebook, q64: np.ndarray, phi_c: int) -> tuple[np.ndarray, np.ndarray]:

@@ -74,6 +74,43 @@ def enumerate_mwmto(rows: list[list[tuple[int, float]]], capacities: list[int]) 
     return best[0]
 
 
+def reference_partition_sims(q_mat, pset, cb, tau: float) -> list[list[tuple[int, float]]]:
+    """Per query vector, the (group_id, similarity) entries clearing tau,
+    one small product per group over its centroids (codebook ids below
+    ``n_c``, the set's cascade rows at ``id - n_c`` above)."""
+    q64 = np.asarray(q_mat, dtype=np.float64)
+    cents64 = cb.centroids.astype(np.float64)
+    cascade64 = pset.cascade_centroids.astype(np.float64)
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(len(q64))]
+    for g in pset.groups:
+        mats = [
+            cents64[cid] if cid < cb.n_c else cascade64[cid - cb.n_c]
+            for cid in g.centroid_ids
+        ]
+        sims = (q64 @ np.stack(mats).T).max(axis=1)
+        for qi in np.flatnonzero(sims >= tau):
+            rows[int(qi)].append((g.group_id, float(sims[qi])))
+    return rows
+
+
+def reference_greedy_lower_bound(
+    rows: list[list[tuple[int, float]]], capacities: list[int]
+) -> tuple[float, dict[int, int]]:
+    """Query vectors in input order, each taking its highest-similarity
+    group with remaining capacity (ties to the lower group id)."""
+    remaining = list(capacities)
+    lb = 0.0
+    taken: dict[int, int] = {}
+    for qi, row in enumerate(rows):
+        for gid, s in sorted(row, key=lambda e: (-e[1], e[0])):
+            if remaining[gid] > 0:
+                lb += s
+                remaining[gid] -= 1
+                taken[qi] = gid
+                break
+    return lb, taken
+
+
 class NaiveDepqModel:
     """List-backed reference for the double-ended queue: linear scans for
     every extreme, eager removal, no heaps anywhere."""

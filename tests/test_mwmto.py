@@ -2,24 +2,40 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerate_mwmto, random_unit_rows
+from oracles import (
+    enumerate_mwmto,
+    random_unit_rows,
+    reference_greedy_lower_bound,
+    reference_partition_sims,
+)
 from tusearch.errors import InvariantError
 from tusearch.matching import unionability
 from tusearch.mwmto import (
     BoundPair,
+    PartitionLayout,
     PartitionSimTable,
     bounds_for_mwmto,
     greedy_lower_bound,
     mwmto_exact,
     partition_sims,
 )
-from tusearch.partitions import PartitionGroup, PartitionSet
+from tusearch.partitions import PartitionGroup, PartitionIndex, PartitionSet
 from tusearch.quantizer import Codebook
 
 
 def table_from(rows, capacities):
     return PartitionSimTable([list(r) for r in rows], list(capacities))
+
+
+def rows_of(table):
+    """The table's valid entries as per-query (group_id, similarity) lists."""
+    return [
+        [(int(g), float(table.sims[qi, g])) for g in np.flatnonzero(table.valid[qi])]
+        for qi in range(table.n_query)
+    ]
 
 
 def random_dense_table(rng, tau=0.5):
@@ -49,6 +65,38 @@ def random_sparse_table(rng, tau=0.5):
     return table_from(rows, caps)
 
 
+def one_set_layout(cb, groups, cascade):
+    pindex = PartitionIndex({0: PartitionSet(0, groups, cascade)}, 0.2, 0.8)
+    return PartitionLayout.build(pindex, cb)
+
+
+def random_partition_index(rng, cb, n_sets, d):
+    """Sets of three shapes: singleton groups over distinct codebook ids,
+    merged groups of several codebook ids, and cascade sets whose groups
+    reference private rows (now and then mixed with a codebook id)."""
+    entries = {}
+    for sid in range(n_sets):
+        kind = sid % 3
+        n_groups = int(rng.integers(1, 6))
+        cascade = np.empty((0, d), dtype=np.float32)
+        if kind == 2:
+            cascade = random_unit_rows(rng, int(rng.integers(1, 4)), d)
+        groups = []
+        for gid in range(n_groups):
+            if kind == 0:
+                cids = (int(rng.integers(cb.n_c)),)
+            elif kind == 1:
+                cids = tuple(sorted({int(c) for c in rng.integers(cb.n_c, size=rng.integers(1, 4))}))
+            else:
+                cids = (cb.n_c + int(rng.integers(len(cascade))),)
+                if rng.uniform() < 0.3:
+                    cids = (int(rng.integers(cb.n_c)),) + cids
+            members = np.arange(int(rng.integers(1, 5)), dtype=np.int32)
+            groups.append(PartitionGroup(gid, cids, members))
+        entries[sid] = PartitionSet(sid, groups, cascade)
+    return PartitionIndex(entries, 0.2, 0.8)
+
+
 class TestPartitionSims:
     def make(self):
         cents = np.array(
@@ -59,36 +107,108 @@ class TestPartitionSims:
             PartitionGroup(0, (1, 2), np.array([0, 1])),
             PartitionGroup(1, (0,), np.array([2])),
         ]
-        pset = PartitionSet(0, groups, np.empty((0, 3), dtype=np.float32))
-        return cb, pset
+        return cb, one_set_layout(cb, groups, np.empty((0, 3), dtype=np.float32))
 
     def test_max_over_group_centroids(self):
-        cb, pset = self.make()
-        q = np.array([[0.0, 1.0, 0.0]], dtype=np.float32)
-        table = partition_sims(q, pset, cb, tau=0.5)
-        # group 0 sims: <q,c1>=0.0, <q,c2>=0.75 -> max 0.75
-        assert table.rows[0] == [(0, pytest.approx(0.75, abs=1e-9))]
+        cb, layout = self.make()
+        q = np.array([[0.0, 1.0, 0.0]])
+        table = partition_sims(q, layout, [0], tau=0.5)[0]
+        # group 0 sims: <q,c1>=0.0, <q,c2>=0.75 -> max 0.75; group 1 below tau
+        assert table.valid.tolist() == [[True, False]]
+        assert table.sims[0].tolist() == pytest.approx([0.75, 0.0], abs=1e-9)
+        assert table.capacities.tolist() == [2, 1]
 
     def test_all_below_tau_gives_empty_row(self):
-        cb, pset = self.make()
-        q = np.array([[0.0, 0.0, 1.0]], dtype=np.float32)
-        table = partition_sims(q, pset, cb, tau=0.5)
-        assert table.rows[0] == []
+        cb, layout = self.make()
+        q = np.array([[0.0, 0.0, 1.0]])
+        table = partition_sims(q, layout, [0], tau=0.5)[0]
+        assert not table.valid.any()
+        assert table.sims.tolist() == [[0.0, 0.0]]
 
     def test_singleton_group_is_plain_inner_product(self):
-        cb, pset = self.make()
-        q = np.array([[1.0, 0.0, 0.0]], dtype=np.float32)
-        table = partition_sims(q, pset, cb, tau=0.5)
-        assert (1, pytest.approx(1.0, abs=1e-9)) in table.rows[0]
+        cb, layout = self.make()
+        q = np.array([[1.0, 0.0, 0.0]])
+        table = partition_sims(q, layout, [0], tau=0.5)[0]
+        assert table.valid[0, 1]
+        assert table.sims[0, 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_cascade_centroids_resolved(self):
         cb, _ = self.make()
         cascade = np.array([[0.0, 0.0, 0.9]], dtype=np.float32)
-        groups = [PartitionGroup(0, (cb.n_c,), np.array([0]))]
-        pset = PartitionSet(0, groups, cascade)
-        q = np.array([[0.0, 0.0, 1.0]], dtype=np.float32)
-        table = partition_sims(q, pset, cb, tau=0.5)
-        assert table.rows[0] == [(0, pytest.approx(0.9, abs=1e-6))]
+        layout = one_set_layout(cb, [PartitionGroup(0, (cb.n_c,), np.array([0]))], cascade)
+        q = np.array([[0.0, 0.0, 1.0]])
+        table = partition_sims(q, layout, [0], tau=0.5)[0]
+        assert table.valid.tolist() == [[True]]
+        assert table.sims[0, 0] == pytest.approx(0.9, abs=1e-6)
+
+
+class TestBatchedTables:
+    """One batched product over the flat layout against the per-group
+    reference loop."""
+
+    def test_tables_equal_per_group_reference(self):
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            d = int(rng.integers(2, 6))
+            cb = Codebook(random_unit_rows(rng, int(rng.integers(1, 9)), d), train_seed=0)
+            pindex = random_partition_index(rng, cb, int(rng.integers(1, 13)), d)
+            layout = PartitionLayout.build(pindex, cb)
+            q = random_unit_rows(rng, int(rng.integers(1, 7)), d).astype(np.float64)
+            tau = float(rng.uniform(0.05, 0.6))
+            n_sets = len(pindex.entries)
+            pick = rng.permutation(n_sets)[: int(rng.integers(1, n_sets + 1))].tolist()
+            tables = partition_sims(q, layout, pick, tau)
+            assert sorted(tables) == sorted(pick)
+            for sid in pick:
+                pset = pindex.of(sid)
+                want = reference_partition_sims(q, pset, cb, tau)
+                got = tables[sid]
+                assert got.sims.shape == (len(q), len(pset.groups))
+                assert got.capacities.tolist() == [g.capacity for g in pset.groups]
+                for g_rows, w_rows in zip(rows_of(got), want):
+                    assert [g for g, _ in g_rows] == [g for g, _ in w_rows]
+                    for (_, a), (_, b) in zip(g_rows, w_rows):
+                        assert abs(a - b) <= 1e-12
+                assert (got.sims[~got.valid] == 0.0).all()
+
+    def test_no_candidates_gives_no_tables(self):
+        rng = np.random.default_rng(22)
+        cb = Codebook(random_unit_rows(rng, 4, 3), train_seed=0)
+        layout = PartitionLayout.build(random_partition_index(rng, cb, 3, 3), cb)
+        assert partition_sims(random_unit_rows(rng, 2, 3), layout, [], 0.5) == {}
+
+    def test_greedy_equals_reference_on_batched_tables(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            cb = Codebook(random_unit_rows(rng, 6, 3), train_seed=0)
+            pindex = random_partition_index(rng, cb, 9, 3)
+            layout = PartitionLayout.build(pindex, cb)
+            q = random_unit_rows(rng, int(rng.integers(1, 8)), 3)
+            for table in partition_sims(q, layout, range(9), 0.2).values():
+                rows = rows_of(table)
+                caps = table.capacities.tolist()
+                assert greedy_lower_bound(table) == reference_greedy_lower_bound(rows, caps)
+
+    def test_greedy_equals_reference_on_tied_similarities(self):
+        rng = np.random.default_rng(24)
+        grid = [0.5, 0.6, 0.6, 0.7, 0.7, 0.7]
+        for _ in range(300):
+            n_q, n_g = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+            rows = [
+                [(g, float(rng.choice(grid))) for g in rng.permutation(n_g) if rng.uniform() < 0.7]
+                for _ in range(n_q)
+            ]
+            caps = [int(rng.integers(0, 3)) for _ in range(n_g)]
+            lb, taken = greedy_lower_bound(table_from(rows, caps))
+            assert (lb, taken) == reference_greedy_lower_bound(rows, caps)
+
+    def test_ub_is_the_descending_pool_sum(self):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            table = random_sparse_table(rng)
+            pool = sorted((s for row in rows_of(table) for _, s in row), reverse=True)
+            take = min(table.n_query, table.set_size)
+            assert bounds_for_mwmto(table).ub == float(sum(pool[:take]))
 
 
 class TestMwmtoExact:
@@ -121,7 +241,7 @@ class TestMwmtoExact:
         for _ in range(200):
             table = maker(rng)
             res = mwmto_exact(table)
-            want_card, want_weight = enumerate_mwmto(table.rows, table.capacities)
+            want_card, want_weight = enumerate_mwmto(rows_of(table), table.capacities.tolist())
             assert res.cardinality == want_card
             assert res.score == pytest.approx(want_weight, abs=1e-9)
 
@@ -133,7 +253,7 @@ class TestMwmtoExact:
             usage = {}
             for qi, gid in res.assignment.items():
                 usage[gid] = usage.get(gid, 0) + 1
-                assert any(g == gid for g, _ in table.rows[qi])
+                assert table.valid[qi, gid]
             for gid, used in usage.items():
                 assert used <= table.capacities[gid]
 
@@ -216,7 +336,7 @@ class TestBounds:
             total = 0.0
             for qi, gid in taken.items():
                 usage[gid] = usage.get(gid, 0) + 1
-                sim = dict(table.rows[qi])[gid]
+                sim = table.sims[qi, gid]
                 total += sim
             for gid, used in usage.items():
                 assert used <= table.capacities[gid]
@@ -245,3 +365,34 @@ class TestBounds:
     def test_bound_pair_order_enforced(self):
         with pytest.raises(InvariantError):
             BoundPair(2.0, 1.0)
+
+
+@st.composite
+def capacitated_rows(draw):
+    """Per-query entries over a few groups, with tied similarities, groups
+    that no query reaches, and capacities above the query count."""
+    n_q = draw(st.integers(1, 5))
+    n_g = draw(st.integers(1, 4))
+    caps = draw(st.lists(st.integers(1, 7), min_size=n_g, max_size=n_g))
+    reached = draw(st.lists(st.booleans(), min_size=n_g, max_size=n_g))
+    sim = st.one_of(st.sampled_from([0.5, 0.75, 1.0]), st.floats(0.5, 1.0))
+    rows = [
+        [(g, draw(sim)) for g in range(n_g) if reached[g] and draw(st.booleans())]
+        for _ in range(n_q)
+    ]
+    return rows, caps
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacitated_rows())
+def test_trimmed_expansion_matches_enumeration(case):
+    rows, caps = case
+    res = mwmto_exact(table_from(rows, caps))
+    want_card, want_weight = enumerate_mwmto(rows, caps)
+    assert res.cardinality == want_card
+    assert res.score == pytest.approx(want_weight, abs=1e-9)
+    used = {}
+    for qi, gid in res.assignment.items():
+        assert gid in dict(rows[qi])
+        used[gid] = used.get(gid, 0) + 1
+    assert all(n <= caps[gid] for gid, n in used.items())

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tusearch.errors import DataError, UsageError
+from tusearch.evaluation import oracle_topk
 from tusearch.matching import BRUTE_FORCE_MAX_SIDE, brute_force_unionability, unionability
 from tusearch.pipeline import SearchParams, build_engine
 from tusearch.repository import QueryTable, generate_synthetic, split_repository
@@ -227,3 +230,29 @@ class TestExactnessLimit:
             got_list = [sid for sid, s, _ in result.items]
             want_list = [sid for sid, s, _ in truth[:k]]
             assert got_list[: len(want)] == want_list[: len(want)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_sets=st.integers(2, 24),
+        n_c=st.integers(2, 8),
+        k=st.integers(1, 8),
+        tau=st.sampled_from([0.3, 0.5, 0.7]),
+    )
+    def test_full_pools_match_oracle_topk(self, seed, n_sets, n_c, k, tau):
+        """Every centroid probed and no pool pressure in stages 1 and 2: the
+        partitioned engine's top-k is the exact oracle's top-k.  Few
+        centroids for up to ten columns a set put sets on all three
+        partition branches."""
+        data = generate_synthetic(n_sets + 1, (1, 10), 6, 4, 0.2, seed=seed)
+        repo, qrepo = split_repository(data.repository, n_sets)
+        query = QueryTable(qrepo.vectors_of(0))
+        engine = build_engine(repo, n_c=min(n_c, repo.total_vectors), seed=seed)
+        k = min(k, n_sets)
+        params = SearchParams(
+            k=k, tau=tau, phi_c=engine.codebook.n_c, phi_ref=n_sets, phi_r=n_sets
+        )
+        got = engine.search(query, params).items
+        want = oracle_topk(query, repo, tau, k)
+        assert [sid for sid, _, _ in got] == [sid for sid, _, _ in want]
+        assert all(abs(g[1] - w[1]) <= 1e-9 for g, w in zip(got, want))

@@ -27,6 +27,18 @@ def brute_force_nearest(points, centroids):
     return np.array(out)
 
 
+class TestCodebook:
+    def test_float64_centroids_converted_once_per_codebook(self):
+        a = Codebook(np.array([[1.0, 0.0], [0.0, 0.5]], dtype=np.float32), train_seed=0)
+        b = Codebook(np.array([[0.0, 1.0]], dtype=np.float32), train_seed=0)
+        assert a.centroids64() is a.centroids64()
+        assert a.centroids64().dtype == np.float64
+        assert a.centroids64().tolist() == [[1.0, 0.0], [0.0, 0.5]]
+        assert b.centroids64().tolist() == [[0.0, 1.0]]
+        with pytest.raises(ValueError):
+            a.centroids64()[0, 0] = 2.0
+
+
 class TestTrainKmeans:
     def test_two_separated_pairs(self):
         # Analytic optimum: one centroid per pair at the pair mean.  Verified
