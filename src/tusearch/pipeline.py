@@ -201,10 +201,11 @@ class SearchEngine:
 
     def _refine(self, state: _QueryState, params: ResolvedParams, trace=None):
         ids, sims = top_centroids(self.codebook, state.q64, params.phi_c)
+        pairs = np.stack((ids, sims), axis=-1)  # per query vector, (centroid id, sim) rows
         return refine(
             self.repo.n_sets,
             len(state.q64),
-            lambda qi: list(zip(ids[qi].tolist(), sims[qi].tolist())),
+            pairs.__getitem__,
             self.postings,
             params.phi_c,
             params.phi_ref,

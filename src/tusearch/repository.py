@@ -29,6 +29,11 @@ from .errors import DataError, UsageError
 MANIFEST_MAGIC = "VSETS v1"
 ZERO_NORM = 1e-12
 UNIT_TOL = 1e-6
+# Rounding a unit float64 row to float32 moves its norm by at most 2**-24,
+# half this tolerance.  A row already this close to unit length is kept as
+# it is: dividing it again would move it by an ulp, and a saved repository
+# would not load back as the same vectors.
+UNIT_ROUNDING = float(np.finfo(np.float32).eps)
 
 
 def similarity(u, v) -> float:
@@ -47,7 +52,9 @@ def similarity(u, v) -> float:
 
 
 def normalize_rows(rows: np.ndarray, where: str = "input") -> np.ndarray:
-    """Normalize each row to unit length, returning float32.
+    """Normalize each row to unit length, returning float32.  Rows already
+    unit within ``UNIT_ROUNDING`` are only converted, so normalizing twice
+    gives the rows of normalizing once.
 
     Raises DataError for non-finite entries or rows with norm below
     ``ZERO_NORM`` (which cannot be normalized).  ``where`` names the vector
@@ -56,15 +63,17 @@ def normalize_rows(rows: np.ndarray, where: str = "input") -> np.ndarray:
     rows64 = np.asarray(rows, dtype=np.float64)
     if rows64.ndim != 2:
         raise DataError(f"expected a 2-d vector block for {where}")
-    finite = np.isfinite(rows64).all(axis=1)
-    if not finite.all():
-        j = int(np.flatnonzero(~finite)[0])
+    if not np.isfinite(rows64).all():
+        j = int(np.flatnonzero(~np.isfinite(rows64).all(axis=1))[0])
         raise DataError(f"non-finite vector at {where}, index {j}")
-    norms = np.linalg.norm(rows64, axis=1)
+    # np.linalg.norm's arithmetic without its per-call argument handling:
+    # ingest calls this once per set.
+    norms = np.sqrt(np.add.reduce(rows64 * rows64, axis=1))
     small = norms < ZERO_NORM
     if small.any():
         j = int(np.flatnonzero(small)[0])
         raise DataError(f"zero vector at {where}, index {j}")
+    norms[np.abs(norms - 1.0) <= UNIT_ROUNDING] = 1.0
     return (rows64 / norms[:, None]).astype(np.float32)
 
 

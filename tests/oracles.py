@@ -2,10 +2,13 @@
 
 These deliberately avoid the production code paths: cardinality by plain
 augmenting paths, capacitated matching by exhaustive recursion over
-capacity states, and a list-scan model of the double-ended queue.
+capacity states, a list-scan model of the double-ended queue, and the
+stage-1 drain as a global max-heap popped one event at a time.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -109,6 +112,50 @@ def reference_greedy_lower_bound(
                 taken[qi] = gid
                 break
     return lb, taken
+
+
+def reference_refine(n_sets, n_query, top_centroids_of, postings, phi_c, phi_ref, trace=None):
+    """Stage 1 as an event-by-event drain: every (centroid, query vector)
+    event goes on one max-heap keyed by similarity and pops in descending
+    order (ties to the lower query vector, then centroid).  Each popped event
+    visits its centroid's posting list; a set not yet visited by the query
+    vector takes the similarity while its used count in the centroid is
+    below its member count, and is marked visited either way.  Returns the
+    same ranked list as ``refinement.refine`` and fills the same trace."""
+    assert phi_c >= 1 and phi_ref >= 1
+    heap = [(-sim, qi, cid) for qi in range(n_query) for cid, sim in top_centroids_of(qi)]
+    heapq.heapify(heap)
+    n_c = len(postings.ptr) - 1
+    scores = np.zeros(n_sets, dtype=np.float64)
+    touched = np.zeros(n_sets, dtype=bool)
+    visited = np.zeros((n_sets, n_query), dtype=bool)
+    used: dict[int, np.ndarray] = {}
+    while heap:
+        neg_sim, qi, cid = heapq.heappop(heap)
+        sim = -neg_sim
+        if not 0 <= cid < n_c or len(postings[cid][0]) == 0:
+            continue
+        sets, caps = postings[cid]
+        if trace is not None:
+            trace.events.append((qi, cid, sim))
+        used_c = used.setdefault(cid, np.zeros(len(sets), dtype=np.int64))
+        unvisited = ~visited[sets, qi]
+        has_cap = used_c < caps
+        take = unvisited & has_cap
+        used_c[take] += 1
+        scores[sets[take]] += sim
+        touched[sets] = True
+        visited[sets, qi] = True
+        if trace is not None:
+            for s in sets[take]:
+                trace.accepted.append((int(s), qi, cid, sim))
+            for s in sets[unvisited & ~has_cap]:
+                trace.blocked.append((int(s), qi, cid))
+            for i, s in enumerate(sets):
+                trace.used[(int(s), cid)] = int(used_c[i])
+    cand = np.flatnonzero(touched)
+    ranked = cand[np.lexsort((cand, -scores[cand]))][:phi_ref]
+    return [(int(s), float(scores[s])) for s in ranked]
 
 
 class NaiveDepqModel:

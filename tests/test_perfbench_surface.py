@@ -1,0 +1,63 @@
+"""The parts of the program that perfbench reaches into by name.
+
+perfbench wraps the functions in its ``HOOKS`` list with timing spans and,
+in a traced run, drains sample queries with a ``RefinementTrace`` and reads
+``engine.postings[cid][0]``.  A rename would otherwise show only when a
+traced benchmark runs.  ``perfbench/run.py`` is read, not imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import tusearch.pipeline as pipeline
+from tusearch.pipeline import SearchParams, build_engine
+from tusearch.refinement import RefinementTrace
+from tusearch.repository import QueryTable, generate_synthetic
+
+RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def perfbench_hooks() -> list[tuple[str, str, str]]:
+    for node in ast.parse(RUN.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{RUN} assigns no HOOKS list")
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return build_engine(generate_synthetic(60, (3, 8), 12, 6, 0.2, seed=41).repository, n_c=8, seed=1)
+
+
+def test_every_hook_resolves():
+    hooks = perfbench_hooks()
+    assert hooks
+    for module, attr, _ in hooks:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_traced_refine_fills_what_perfbench_reads(engine):
+    trace = RefinementTrace()
+    engine.refine(QueryTable(engine.repo.vectors_of(3)), SearchParams(k=5, phi_c=4), trace=trace)
+    assert trace.events and trace.accepted
+    for _, cid, _ in trace.events:
+        assert len(engine.postings[cid][0]) > 0
+
+
+def test_stage_one_hooks_run_once_per_search(engine, monkeypatch):
+    calls = {"refine": 0, "top_centroids": 0}
+    for name in calls:
+        inner = getattr(pipeline, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    engine.search(QueryTable(engine.repo.vectors_of(5)), SearchParams(k=5, phi_c=4))
+    assert calls == {"refine": 1, "top_centroids": 1}

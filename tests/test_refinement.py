@@ -1,15 +1,22 @@
-"""Heap-drain candidate generation and its bookkeeping guarantees."""
+"""Stage-1 candidate generation, its bookkeeping guarantees, and its
+equality with an event-by-event heap drain."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_refine
 from tusearch.errors import UsageError
+from tusearch.pipeline import SearchParams, build_engine
 from tusearch.quantizer import SetWeightIndex, VectorInvertedIndex
 from tusearch.refinement import RefinementTrace, build_postings, refine
+from tusearch.repository import QueryTable, generate_synthetic
 
 
-def make_postings(assignments):
-    """assignments: per set, list of owning centroid ids (one per vector)."""
+def make_postings(assignments, n_c=None):
+    """assignments: per set, list of owning centroid ids (one per vector);
+    ``n_c`` above the largest owner leaves the top centroids empty."""
     lists = {}
     weights = {}
     for sid, owners in enumerate(assignments):
@@ -17,7 +24,7 @@ def make_postings(assignments):
         for idx, c in enumerate(owners):
             lists.setdefault(c, []).append((sid, idx))
             weights[sid][c] = weights[sid].get(c, 0) + 1
-    n_c = max(lists) + 1 if lists else 1
+    n_c = max(n_c or 1, max(lists) + 1 if lists else 1)
     iv = VectorInvertedIndex(
         {c: np.array(sorted(handles), dtype=np.int32) for c, handles in lists.items()},
         n_c=n_c,
@@ -147,3 +154,93 @@ class TestBookkeeping:
         a = refine(n_sets, n_query, fixed_tops(per_query), postings, phi_c=phi_c, phi_ref=n_sets)
         b = refine(n_sets, n_query, fixed_tops(per_query), postings, phi_c=phi_c, phi_ref=n_sets)
         assert a == b
+
+
+class TestEdgeCases:
+    def test_no_event_touches_a_set(self):
+        # centroids 1 and 2 own no vectors; centroid 0 is never probed
+        postings, _ = make_postings([[0], [0]], n_c=3)
+        trace = RefinementTrace()
+        got = refine(2, 2, fixed_tops([[(1, 0.9)], [(2, 0.5), (1, 0.4)]]), postings,
+                     phi_c=2, phi_ref=5, trace=trace)
+        assert got == []
+        assert trace == RefinementTrace()
+
+    def test_no_query_vectors(self):
+        postings, _ = make_postings([[0]])
+        assert refine(1, 0, fixed_tops([]), postings, phi_c=1, phi_ref=5) == []
+
+    def test_phi_c_above_n_c_probes_every_centroid(self):
+        data = generate_synthetic(40, (3, 6), 8, 4, 0.2, seed=31)
+        engine = build_engine(data.repository, n_c=5, seed=2)
+        query = QueryTable(data.repository.vectors_of(7))
+        every = engine.refine(query, SearchParams(k=5, phi_c=5, phi_ref=40))
+        assert engine.refine(query, SearchParams(k=5, phi_c=50, phi_ref=40)) == every
+        assert len(every) == 40  # every centroid probed: every set touched
+
+    def test_single_query_vector(self):
+        postings, _ = make_postings([[0, 1], [1], [1, 1], [2]])
+        tops = fixed_tops([[(2, 0.25), (1, 0.75), (0, 0.5)]])
+        got = refine(4, 1, tops, postings, phi_c=3, phi_ref=4)
+        # one query vector: one increment per set, from its best centroid
+        assert got == [(0, 0.75), (1, 0.75), (2, 0.75), (3, 0.25)]
+        assert got == reference_refine(4, 1, tops, postings, phi_c=3, phi_ref=4)
+
+    def test_score_sums_in_drain_order(self):
+        # 0.3 + 0.2 + 0.1 rounds differently in ascending order
+        postings, _ = make_postings([[0, 0, 0]])
+        tops = fixed_tops([[(0, 0.1)], [(0, 0.3)], [(0, 0.2)]])
+        got = refine(1, 3, tops, postings, phi_c=1, phi_ref=1)
+        assert got == [(0, (0.3 + 0.2) + 0.1)]
+        assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
+
+    def test_ties_at_the_cut_go_to_the_lower_set_id(self):
+        # set 4 leads; sets 1, 2, 5 and 7 tie behind it and the cut keeps two
+        postings, _ = make_postings([[0], [1], [1], [0], [2], [1], [0], [1]])
+        tops = fixed_tops([[(2, 0.875), (1, 0.5), (0, 0.25)]])
+        got = refine(8, 1, tops, postings, phi_c=3, phi_ref=3)
+        assert got == [(4, 0.875), (1, 0.5), (2, 0.5)]
+
+
+QUARTERS = [q / 4 for q in range(-4, 5)]
+
+
+@st.composite
+def refinement_instances(draw):
+    """Small stage-1 inputs with similarities mostly on a quarter grid (tied
+    within and across query vectors, some negative) and otherwise anywhere
+    in [-1, 1], so sums round; per-query lists in any order and of any
+    length, centroids without vectors, and few member vectors per (set,
+    centroid), so capacities bind."""
+    n_c = draw(st.integers(1, 6))
+    owned = draw(st.integers(1, n_c))  # centroids n_c - owned .. hold nothing
+    n_sets = draw(st.integers(1, 7))
+    assignments = [
+        draw(st.lists(st.integers(0, owned - 1), min_size=1, max_size=5)) for _ in range(n_sets)
+    ]
+    n_query = draw(st.integers(1, 6))
+    sim = st.one_of(st.sampled_from(QUARTERS), st.floats(-1.0, 1.0))
+    per_query = [
+        [(c, draw(sim))
+         for c in draw(st.permutations(range(n_c)))[: draw(st.integers(0, n_c))]]
+        for _ in range(n_query)
+    ]
+    phi_ref = draw(st.integers(1, n_sets + 1))
+    return assignments, n_c, per_query, phi_ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(refinement_instances())
+def test_matches_heap_drain(case):
+    assignments, n_c, per_query, phi_ref = case
+    postings, _ = make_postings(assignments, n_c=n_c)
+    n_sets, n_query = len(assignments), len(per_query)
+    phi_c = max(1, max(len(r) for r in per_query))
+    got_trace, want_trace = RefinementTrace(), RefinementTrace()
+    got = refine(n_sets, n_query, fixed_tops(per_query), postings, phi_c, phi_ref, got_trace)
+    want = reference_refine(n_sets, n_query, fixed_tops(per_query), postings, phi_c, phi_ref, want_trace)
+    assert got == want
+    assert got_trace.events == want_trace.events
+    assert got_trace.accepted == want_trace.accepted
+    assert got_trace.blocked == want_trace.blocked
+    assert got_trace.used == want_trace.used

@@ -11,6 +11,7 @@ from tusearch.repository import (
     ingest_repository,
     load_query_table,
     load_query_tables,
+    normalize_rows,
     similarity,
     split_repository,
     write_repository,
@@ -101,6 +102,12 @@ class TestIngest:
         assert again.n_sets == repo.n_sets
         assert np.array_equal(again.offsets, repo.offsets)
         assert np.abs(again.matrix - repo.matrix).max() <= 1e-7
+
+    def test_normalizing_unit_rows_again_changes_nothing(self):
+        # At d=8 about one unit float32 row in a hundred moves by an ulp when
+        # divided by its own float64 norm once more.
+        once = normalize_rows(np.random.default_rng(8).standard_normal((5000, 8)))
+        assert np.array_equal(normalize_rows(once), once)
 
     def test_missing_payload(self, tmp_path):
         manifest = tmp_path / "m.tsv"
