@@ -8,9 +8,20 @@ and every checksum second, before any parsing; a component that then fails
 to decode is a data error too.  Nothing in a bundle depends on wall-clock
 time, so identical builds are byte-identical.
 
-Bundles written before the centroid graph was removed may list a
-``graph.bin`` component: its checksum is verified, and the file is then
-ignored.
+Format v2 stores three index components, each read with ``np.frombuffer``:
+
+* ``codebook.f32``: the centroid matrix;
+* ``assignment.i32``: the owner centroid of every repository vector, in row
+  order; the per-centroid postings are rebuilt from it on load;
+* ``partitions.bin``: ``rho_low`` and ``rho_high`` as float64, then as
+  int32 the lengths of the ``PartitionIndex`` arrays ``group_ptr``,
+  ``cascade_ptr``, ``cid_ptr``, ``member_ptr``, ``centroid_ids`` and
+  ``members`` and the number of cascade rows, then those arrays as int32
+  and the cascade rows as float32.
+
+Components that ``bundle.json`` lists beyond these are verified and then
+ignored.  A bundle of another format version is a data error; it must be
+rebuilt.
 """
 
 from __future__ import annotations
@@ -23,20 +34,22 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .partitions import PartitionGroup, PartitionIndex, PartitionSet
+from .partitions import PartitionIndex
 from .pipeline import SearchEngine
-from .quantizer import Codebook, ClusterAssignment, SetWeightIndex, VectorInvertedIndex
+from .quantizer import ClusterAssignment, Codebook, build_indexes
 from .repository import VectorSetRepository, ingest_repository, write_repository
 
 FORMAT_NAME = "tusearch-bundle"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _REPO_STEM = "repository"
 _CODEBOOK = "codebook.f32"
-_VECTOR_INDEX = "vector_index.bin"
-_WEIGHT_INDEX = "weight_index.bin"
+_ASSIGNMENT = "assignment.i32"
 _PARTITIONS = "partitions.bin"
 _META = "bundle.json"
+
+_PARTITION_ARRAYS = ("group_ptr", "cascade_ptr", "cid_ptr", "member_ptr", "centroid_ids", "members")
+_PARTITION_HEAD = 16 + 4 * (len(_PARTITION_ARRAYS) + 1)
 
 
 def _sha256(path: Path) -> str:
@@ -47,130 +60,72 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _pack_vector_index(iv: VectorInvertedIndex) -> bytes:
-    offsets = np.zeros(iv.n_c + 1, dtype="<i8")
-    blocks = []
-    total = 0
-    for c in range(iv.n_c):
-        arr = iv.lists.get(c)
-        n = 0 if arr is None else len(arr)
-        total += n
-        offsets[c + 1] = total
-        if n:
-            blocks.append(arr.astype("<i4").tobytes())
-    return offsets.tobytes() + b"".join(blocks)
+def index_components(engine: SearchEngine) -> dict[str, bytes]:
+    """The bytes of every index component, by file name."""
+    pindex = engine.partition_index
+    arrays = [getattr(pindex, name) for name in _PARTITION_ARRAYS]
+    lengths = np.array([len(a) for a in arrays] + [len(pindex.cascade)], dtype="<i4")
+    partitions = struct.pack("<dd", pindex.rho_low, pindex.rho_high) + lengths.tobytes()
+    partitions += b"".join(a.astype("<i4").tobytes() for a in arrays)
+    return {
+        _CODEBOOK: engine.codebook.centroids.astype("<f4").tobytes(),
+        _ASSIGNMENT: engine.assignment.flat.astype("<i4").tobytes(),
+        _PARTITIONS: partitions + pindex.cascade.astype("<f4").tobytes(),
+    }
 
 
-def _unpack_vector_index(
-    raw: bytes, n_c: int, repo: VectorSetRepository
-) -> tuple[VectorInvertedIndex, ClusterAssignment]:
-    """The centroid -> vectors lists, and the owner of every repository
-    vector read back from them; the handles must cover each vector once."""
-    head = (n_c + 1) * 8
-    if len(raw) < head or (len(raw) - head) % 8:
-        raise DataError(f"{_VECTOR_INDEX} has a bad length: {len(raw)} bytes for {n_c} centroids")
-    offsets = np.frombuffer(raw[:head], dtype="<i8")
-    handles = np.frombuffer(raw[head:], dtype="<i4").reshape(-1, 2)
-    if offsets[0] != 0 or offsets[-1] != len(handles) or (np.diff(offsets) < 0).any():
-        raise DataError(f"{_VECTOR_INDEX} offsets do not span its handles")
-    sets, within = handles[:, 0].astype(np.int64), handles[:, 1].astype(np.int64)
-    if ((sets < 0) | (sets >= repo.n_sets)).any():
-        raise DataError(f"{_VECTOR_INDEX} names a set outside the repository")
-    if ((within < 0) | (within >= repo.sizes()[sets])).any():
-        raise DataError(f"{_VECTOR_INDEX} names a vector outside its set")
-    rows = repo.offsets[sets] + within
-    if len(rows) != repo.total_vectors or (np.bincount(rows, minlength=len(rows)) != 1).any():
-        raise DataError(f"{_VECTOR_INDEX} does not hold each repository vector once")
-    flat = np.empty(repo.total_vectors, dtype=np.int32)
-    lists = {}
-    for c in range(n_c):
-        lo, hi = offsets[c], offsets[c + 1]
-        if hi > lo:
-            lists[c] = handles[lo:hi].astype(np.int32)
-            flat[rows[lo:hi]] = c
-    return VectorInvertedIndex(lists, n_c=n_c), ClusterAssignment(flat, repo.offsets.copy())
+def _read_assignment(raw: bytes, n_c: int, repo: VectorSetRepository) -> ClusterAssignment:
+    if len(raw) != 4 * repo.total_vectors:
+        raise DataError(f"{_ASSIGNMENT} holds {len(raw)} bytes, not {repo.total_vectors} int32 owners")
+    owners = np.frombuffer(raw, dtype="<i4")
+    if len(owners) and (owners.min() < 0 or owners.max() >= n_c):
+        raise DataError(f"{_ASSIGNMENT} names a centroid outside 0..{n_c - 1}")
+    return ClusterAssignment(owners, repo.offsets.copy())
 
 
-def _pack_weight_index(iw: SetWeightIndex, n_sets: int) -> bytes:
-    offsets = np.zeros(n_sets + 1, dtype="<i8")
-    cids = []
-    counts = []
-    total = 0
-    for sid in range(n_sets):
-        entries = sorted(iw.weights.get(sid, {}).items())
-        total += len(entries)
-        offsets[sid + 1] = total
-        cids.extend(c for c, _ in entries)
-        counts.extend(n for _, n in entries)
-    return (
-        offsets.tobytes()
-        + np.asarray(cids, dtype="<i4").tobytes()
-        + np.asarray(counts, dtype="<i4").tobytes()
+def _read_partitions(raw: bytes, n_c: int, repo: VectorSetRepository) -> PartitionIndex:
+    """Decode ``partitions.bin`` and check that every pointer array spans
+    its items, every centroid id has a backing row and every set's groups
+    partition its vectors."""
+    if len(raw) < _PARTITION_HEAD:
+        raise DataError(f"{_PARTITIONS} is truncated: {len(raw)} bytes")
+    rho_low, rho_high = struct.unpack_from("<dd", raw)
+    *lengths, n_cascade = np.frombuffer(raw, dtype="<i4", count=len(_PARTITION_ARRAYS) + 1, offset=16).tolist()
+    n_ints = sum(lengths)
+    expect = _PARTITION_HEAD + 4 * (n_ints + n_cascade * repo.dimension)
+    if min(lengths + [n_cascade]) < 0 or len(raw) != expect:
+        raise DataError(f"{_PARTITIONS} has {len(raw)} bytes, which its array lengths do not explain")
+    ints = np.frombuffer(raw, dtype="<i4", count=n_ints, offset=_PARTITION_HEAD)
+    arrays = dict(zip(_PARTITION_ARRAYS, np.split(ints, np.cumsum(lengths[:-1]))))
+    cascade = np.frombuffer(raw, dtype="<f4", offset=_PARTITION_HEAD + 4 * n_ints)
+    pindex = PartitionIndex(
+        **arrays, cascade=cascade.reshape(n_cascade, repo.dimension), rho_low=rho_low, rho_high=rho_high
     )
-
-
-def _unpack_weight_index(raw: bytes, n_sets: int) -> SetWeightIndex:
-    head = (n_sets + 1) * 8
-    if len(raw) < head:
-        raise DataError(f"{_WEIGHT_INDEX} has a bad length: {len(raw)} bytes for {n_sets} sets")
-    offsets = np.frombuffer(raw[:head], dtype="<i8")
-    total = int(offsets[-1])
-    if offsets[0] != 0 or (np.diff(offsets) < 0).any() or len(raw) != head + 8 * total:
-        raise DataError(f"{_WEIGHT_INDEX} offsets do not span its entries")
-    cids = np.frombuffer(raw[head : head + 4 * total], dtype="<i4")
-    counts = np.frombuffer(raw[head + 4 * total : head + 8 * total], dtype="<i4")
-    weights = {}
-    for sid in range(n_sets):
-        lo, hi = offsets[sid], offsets[sid + 1]
-        weights[sid] = {int(cids[e]): int(counts[e]) for e in range(lo, hi)}
-    return SetWeightIndex(weights)
-
-
-def _pack_partitions(pindex: PartitionIndex, n_sets: int) -> bytes:
-    out = [struct.pack("<dd", pindex.rho_low, pindex.rho_high)]
-    for sid in range(n_sets):
-        pset = pindex.entries[sid]
-        cascade = np.ascontiguousarray(pset.cascade_centroids, dtype="<f4")
-        out.append(struct.pack("<iii", len(pset.groups), cascade.shape[0], cascade.shape[1]))
-        for g in pset.groups:
-            out.append(struct.pack("<ii", len(g.centroid_ids), len(g.member_indices)))
-            out.append(np.asarray(g.centroid_ids, dtype="<i4").tobytes())
-            out.append(g.member_indices.astype("<i4").tobytes())
-        out.append(cascade.tobytes())
-    return b"".join(out)
-
-
-def _unpack_partitions(raw: bytes, n_c: int, repo: VectorSetRepository) -> PartitionIndex:
-    """Struct and buffer errors from a short payload are left to the caller;
-    counts and centroid ids that would decode silently wrong are checked here."""
-    pos = 0
-    rho_low, rho_high = struct.unpack_from("<dd", raw, pos)
-    pos += 16
-    entries = {}
-    for sid in range(repo.n_sets):
-        n_groups, n_casc, d_casc = struct.unpack_from("<iii", raw, pos)
-        pos += 12
-        if n_groups < 0 or n_casc < 0 or d_casc != repo.dimension:
-            raise DataError(f"{_PARTITIONS}: bad header for set {sid}")
-        groups = []
-        for gid in range(n_groups):
-            n_cids, n_members = struct.unpack_from("<ii", raw, pos)
-            pos += 8
-            if n_cids < 1 or n_members < 0:
-                raise DataError(f"{_PARTITIONS}: bad group header in set {sid}")
-            cids = tuple(np.frombuffer(raw, dtype="<i4", count=n_cids, offset=pos).tolist())
-            pos += 4 * n_cids
-            if min(cids) < 0 or max(cids) >= n_c + n_casc:
-                raise DataError(f"{_PARTITIONS}: centroid id out of range in set {sid}")
-            members = np.frombuffer(raw, dtype="<i4", count=n_members, offset=pos)
-            pos += 4 * n_members
-            groups.append(PartitionGroup(gid, cids, members.astype(np.int32)))
-        cascade = np.frombuffer(raw, dtype="<f4", count=n_casc * d_casc, offset=pos).reshape(n_casc, d_casc)
-        pos += 4 * n_casc * d_casc
-        entries[sid] = PartitionSet(sid, groups, cascade.astype(np.float32))
-    if pos != len(raw):
-        raise DataError(f"{_PARTITIONS}: {len(raw) - pos} trailing bytes")
-    return PartitionIndex(entries, rho_low, rho_high)
+    n_groups = len(pindex.cid_ptr) - 1
+    for name, items, n_ptr, step in (
+        ("group_ptr", n_groups, repo.n_sets + 1, 0),
+        ("cascade_ptr", n_cascade, repo.n_sets + 1, 0),
+        ("cid_ptr", len(pindex.centroid_ids), n_groups + 1, 1),
+        ("member_ptr", len(pindex.members), n_groups + 1, 1),
+    ):
+        ptr = arrays[name]
+        if len(ptr) != n_ptr or ptr[0] != 0 or ptr[-1] != items or (np.diff(ptr) < step).any():
+            raise DataError(f"{_PARTITIONS}: {name} does not span its items")
+    if not np.isfinite(pindex.cascade).all():
+        raise DataError(f"{_PARTITIONS}: non-finite cascade rows")
+    group_set = np.repeat(np.arange(repo.n_sets), np.diff(pindex.group_ptr))
+    cid_set = np.repeat(group_set, np.diff(pindex.cid_ptr))
+    cids = pindex.centroid_ids
+    if ((cids < 0) | (cids >= n_c + np.diff(pindex.cascade_ptr)[cid_set])).any():
+        raise DataError(f"{_PARTITIONS}: centroid id without a backing row")
+    member_set = np.repeat(group_set, np.diff(pindex.member_ptr))
+    members = pindex.members
+    if ((members < 0) | (members >= repo.sizes()[member_set])).any():
+        raise DataError(f"{_PARTITIONS}: member index outside its set")
+    rows = repo.offsets[member_set] + members
+    if len(rows) != repo.total_vectors or (np.bincount(rows, minlength=len(rows)) != 1).any():
+        raise DataError(f"{_PARTITIONS}: groups do not partition their sets' vectors")
+    return pindex
 
 
 def save_bundle(directory, engine: SearchEngine) -> Path:
@@ -178,14 +133,10 @@ def save_bundle(directory, engine: SearchEngine) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_repository(engine.repo, directory, stem=_REPO_STEM)
-    (directory / _CODEBOOK).write_bytes(engine.codebook.centroids.astype("<f4").tobytes())
-    (directory / _VECTOR_INDEX).write_bytes(_pack_vector_index(engine.vector_index))
-    (directory / _WEIGHT_INDEX).write_bytes(_pack_weight_index(engine.weight_index, engine.repo.n_sets))
-    (directory / _PARTITIONS).write_bytes(_pack_partitions(engine.partition_index, engine.repo.n_sets))
-    components = [
-        f"{_REPO_STEM}.tsv", f"{_REPO_STEM}.f32",
-        _CODEBOOK, _VECTOR_INDEX, _WEIGHT_INDEX, _PARTITIONS,
-    ]
+    components = [f"{_REPO_STEM}.tsv", f"{_REPO_STEM}.f32"]
+    for name, raw in index_components(engine).items():
+        (directory / name).write_bytes(raw)
+        components.append(name)
     config = dict(engine.build_config)
     config.setdefault("n_c", engine.codebook.n_c)
     config.setdefault("seed", engine.codebook.train_seed)
@@ -243,15 +194,10 @@ def load_bundle(directory) -> SearchEngine:
     if len(raw) != 4 * n_c * repo.dimension:
         raise DataError(f"{_CODEBOOK} holds {len(raw)} bytes, not {n_c} x {repo.dimension} float32")
     centroids = np.frombuffer(raw, dtype="<f4").reshape(n_c, repo.dimension)
-    codebook = Codebook(centroids.astype(np.float32), train_seed=seed)
-    iv, assignment = _unpack_vector_index((directory / _VECTOR_INDEX).read_bytes(), n_c, repo)
-    iw = _unpack_weight_index((directory / _WEIGHT_INDEX).read_bytes(), repo.n_sets)
-    raw = (directory / _PARTITIONS).read_bytes()
-    try:
-        pindex = _unpack_partitions(raw, n_c, repo)
-    except (struct.error, ValueError) as exc:  # a count runs past the end of the payload
-        raise DataError(f"{_PARTITIONS} is truncated or malformed: {exc}") from None
-    return SearchEngine(repo, codebook, assignment, iv, iw, pindex, config)
+    codebook = Codebook(centroids, train_seed=seed)
+    assignment = _read_assignment((directory / _ASSIGNMENT).read_bytes(), n_c, repo)
+    pindex = _read_partitions((directory / _PARTITIONS).read_bytes(), n_c, repo)
+    return SearchEngine(repo, codebook, assignment, build_indexes(assignment, n_c), pindex, config)
 
 
 def component_sizes(directory) -> dict[str, int]:

@@ -30,6 +30,7 @@ from .evaluation import (
     run_bench,
 )
 from .pipeline import SearchParams, build_engine
+from .pruning import PRUNERS
 from .repository import (
     MANIFEST_MAGIC,
     generate_synthetic,
@@ -48,7 +49,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phi-c", type=int, default=32, help="centroid probe size (default 32)")
     p.add_argument("--phi-ref", type=int, default=None, help="refinement pool size (default 5k)")
     p.add_argument("--phi-r", type=int, default=None, help="filter pool size (default 3k)")
-    p.add_argument("--pruner", choices=["bf", "base", "enhanced"], default="enhanced")
+    p.add_argument("--pruner", choices=list(PRUNERS), default="enhanced")
 
 
 def _params(args) -> SearchParams:
@@ -169,23 +170,18 @@ def cmd_inspect(args) -> int:
     for key in ("rho_low", "rho_high", "seed", "single_partition"):
         if key in engine.build_config:
             print(f"config\t{key}\t{engine.build_config[key]}")
-    rhos = []
-    group_counts = []
-    capacity_total = 0
-    for sid in range(repo.n_sets):
-        owners = engine.assignment.set_owners(sid)
-        rhos.append(len(np.unique(owners)) / len(owners))
-        pset = engine.partition_index.of(sid)
-        group_counts.append(len(pset.groups))
-        capacity_total += sum(g.capacity for g in pset.groups)
+    # a set's distinct owning centroids are its posting slots
+    slots = engine.postings.sets
+    rhos = np.bincount(slots, minlength=repo.n_sets) / repo.sizes()
     hist, edges = np.histogram(rhos, bins=10, range=(0.0, 1.0))
     for i, count in enumerate(hist):
         print(f"dispersion_hist\t{edges[i]:.1f}-{edges[i + 1]:.1f}\t{int(count)}")
-    for count in sorted(set(group_counts)):
-        print(f"partition_count_hist\t{count}\t{group_counts.count(count)}")
-    distinct = sum(len(w) for w in engine.weight_index.weights.values())
-    print(f"weight_index_entries\t{distinct}")
-    print(f"weight_index_sparsity\t{distinct / (repo.n_sets * engine.codebook.n_c):.6f}")
+    pindex = engine.partition_index
+    for count, n in zip(*np.unique(np.diff(pindex.group_ptr), return_counts=True)):
+        print(f"partition_count_hist\t{count}\t{n}")
+    print(f"postings_entries\t{len(slots)}")
+    print(f"postings_sparsity\t{len(slots) / (repo.n_sets * engine.codebook.n_c):.6f}")
+    capacity_total = int(pindex.member_ptr[-1])
     print(f"capacity_total\t{capacity_total}")
     print(f"capacity_equals_vectors\t{capacity_total == repo.total_vectors}")
     sizes = bundle_io.component_sizes(args.bundle)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bundle import index_components
 from .errors import UsageError
 from .matching import unionability
 from .pipeline import SearchEngine, SearchParams, build_engine
@@ -232,22 +233,10 @@ def make_workload(config: BenchConfig):
 
 
 def index_component_bytes(engine: SearchEngine) -> dict:
-    """Byte accounting of quantized index components versus raw vectors."""
-    iv_bytes = sum(arr.nbytes for arr in engine.vector_index.lists.values()) + 8 * (engine.codebook.n_c + 1)
-    iw_entries = sum(len(w) for w in engine.weight_index.weights.values())
-    pi_bytes = 0
-    for pset in engine.partition_index.entries.values():
-        pi_bytes += 8  # group count + cascade count
-        for g in pset.groups:
-            pi_bytes += 8 + 4 * len(g.centroid_ids) + 4 * len(g.member_indices)
-        pi_bytes += pset.cascade_centroids.nbytes
-    return {
-        "raw_vectors": int(engine.repo.matrix.nbytes),
-        "codebook": int(engine.codebook.centroids.nbytes),
-        "vector_index": int(iv_bytes),
-        "weight_index": int(8 * (engine.repo.n_sets + 1) + 8 * iw_entries),
-        "partition_index": int(pi_bytes),
-    }
+    """Byte accounting of the bundle's index components, keyed by file stem,
+    versus raw vectors."""
+    sizes = {name.split(".")[0]: len(raw) for name, raw in index_components(engine).items()}
+    return {"raw_vectors": int(engine.repo.matrix.nbytes), **sizes}
 
 
 def run_bench(config: BenchConfig, cache_dir=None, progress=None) -> BenchReport:

@@ -6,10 +6,10 @@ taken at most |S| times.  A query vector's similarity to a group is the
 maximum inner product over the group's centroids, and only entries at or
 above the threshold participate.
 
-``PartitionLayout`` flattens a partition index once: one float64 matrix
-with the codebook rows followed by every set's cascade rows, and per set
-the span of its group-centroid row ids, its group starts and its group
-capacities.  ``partition_sims`` then builds the tables of all of a
+``PartitionLayout`` reads the flat partition index once into one float64
+matrix with the codebook rows followed by every set's cascade rows, and
+per set the span of its group-centroid row ids, its group starts and its
+group capacities.  ``partition_sims`` then builds the tables of all of a
 search's candidates from one product over their gathered rows and one
 ``np.maximum.reduceat`` over the group starts.
 
@@ -101,40 +101,19 @@ class PartitionLayout:
 
     @classmethod
     def build(cls, pindex: PartitionIndex, cb: Codebook) -> "PartitionLayout":
-        cids: list[int] = []
-        starts: list[int] = []
-        caps: list[int] = []
-        n_rows: list[int] = []
-        n_groups: list[int] = []
-        cascades = [cb.centroids64()]
-        for sid in range(len(pindex.entries)):
-            pset = pindex.of(sid)
-            first = len(cids)
-            for g in pset.groups:
-                starts.append(len(cids))
-                cids.extend(g.centroid_ids)
-                caps.append(g.capacity)
-            n_rows.append(len(cids) - first)
-            n_groups.append(len(pset.groups))
-            cascades.append(pset.cascade_centroids)
+        row_ptr = pindex.cid_ptr[pindex.group_ptr].astype(np.int64)
         # A cascade id n_c + j of set s is row n_c + j + (cascade rows of the
         # sets before s).
-        n_cascade = np.array([len(c) for c in cascades[1:]], dtype=np.int64)
-        shift = np.repeat(np.cumsum(n_cascade) - n_cascade, n_rows)
-        row_ids = np.asarray(cids, dtype=np.int64)
-        row_ids = np.where(row_ids >= cb.n_c, row_ids + shift, row_ids)
+        shift = np.repeat(pindex.cascade_ptr[:-1].astype(np.int64), np.diff(row_ptr))
+        row_ids = pindex.centroid_ids.astype(np.int64)
         return cls(
-            matrix=np.concatenate(cascades, dtype=np.float64),
-            row_ids=row_ids,
-            row_ptr=_offsets(n_rows),
-            group_start=np.asarray(starts, dtype=np.int64),
-            group_ptr=_offsets(n_groups),
-            capacities=np.asarray(caps, dtype=np.int64),
+            matrix=np.concatenate([cb.centroids64(), pindex.cascade], dtype=np.float64),
+            row_ids=np.where(row_ids >= cb.n_c, row_ids + shift, row_ids),
+            row_ptr=row_ptr,
+            group_start=pindex.cid_ptr[:-1].astype(np.int64),
+            group_ptr=pindex.group_ptr.astype(np.int64),
+            capacities=np.diff(pindex.member_ptr).astype(np.int64),
         )
-
-
-def _offsets(counts: list[int]) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -51,17 +51,66 @@ class PartitionSet:
                 raise DataError(f"empty group in set {self.set_id}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionIndex:
-    entries: dict[int, PartitionSet]
+    """Every set's partition groups in flat int32 arrays, in set order and,
+    within a set, in group order.  Set ``s`` owns groups
+    ``group_ptr[s]:group_ptr[s + 1]`` and cascade rows
+    ``cascade_ptr[s]:cascade_ptr[s + 1]``; group ``g`` owns centroid ids
+    ``cid_ptr[g]:cid_ptr[g + 1]`` and member indices
+    ``member_ptr[g]:member_ptr[g + 1]``, so its capacity is the length of
+    that range.  A centroid id ``n_c + j`` names row ``j`` of its own set's
+    cascade rows."""
+
+    group_ptr: np.ndarray  # (n_sets + 1,)
+    cascade_ptr: np.ndarray  # (n_sets + 1,)
+    cid_ptr: np.ndarray  # (n_groups + 1,)
+    member_ptr: np.ndarray  # (n_groups + 1,)
+    centroid_ids: np.ndarray  # (cid_ptr[-1],)
+    members: np.ndarray  # (member_ptr[-1],) indices within the owning set
+    cascade: np.ndarray  # (cascade_ptr[-1], d) float32
     rho_low: float
     rho_high: float
 
+    @classmethod
+    def pack(cls, psets: list[PartitionSet], rho_low: float, rho_high: float) -> "PartitionIndex":
+        """Flatten per-set partitions, given in set order."""
+        groups = [g for pset in psets for g in pset.groups]
+        return cls(
+            group_ptr=_offsets([len(pset.groups) for pset in psets]),
+            cascade_ptr=_offsets([len(pset.cascade_centroids) for pset in psets]),
+            cid_ptr=_offsets([len(g.centroid_ids) for g in groups]),
+            member_ptr=_offsets([g.capacity for g in groups]),
+            centroid_ids=np.array([c for g in groups for c in g.centroid_ids], dtype=np.int32),
+            members=np.concatenate([g.member_indices for g in groups], dtype=np.int32),
+            cascade=np.concatenate([pset.cascade_centroids for pset in psets], dtype=np.float32),
+            rho_low=rho_low,
+            rho_high=rho_high,
+        )
+
+    @property
+    def n_sets(self) -> int:
+        return len(self.group_ptr) - 1
+
     def of(self, set_id: int) -> PartitionSet:
-        pset = self.entries.get(set_id)
-        if pset is None:
+        """One set's groups and cascade rows as objects."""
+        if not 0 <= set_id < self.n_sets:
             raise DataError(f"unknown set_id {set_id}")
-        return pset
+        first = self.group_ptr[set_id]
+        groups = [
+            PartitionGroup(
+                gid,
+                tuple(self.centroid_ids[self.cid_ptr[g] : self.cid_ptr[g + 1]].tolist()),
+                self.members[self.member_ptr[g] : self.member_ptr[g + 1]],
+            )
+            for gid, g in enumerate(range(first, self.group_ptr[set_id + 1]))
+        ]
+        cascade = self.cascade[self.cascade_ptr[set_id] : self.cascade_ptr[set_id + 1]]
+        return PartitionSet(set_id, groups, cascade)
+
+
+def _offsets(counts: list[int]) -> np.ndarray:
+    return np.r_[0, np.cumsum(counts, dtype=np.int64)].astype(np.int32)
 
 
 def dispersion(set_owners: np.ndarray) -> float:
@@ -192,7 +241,7 @@ def build_partition_index(
         raise UsageError(f"need 0 < rho_low < rho_high <= 1, got {rho_low}, {rho_high}")
     if cascade_k is None:
         cascade_k = default_cascade_k(rho_low, rho_high)
-    entries: dict[int, PartitionSet] = {}
+    psets = []
     for sid in range(repo.n_sets):
         owners = assignment.set_owners(sid)
         size = len(owners)
@@ -201,7 +250,7 @@ def build_partition_index(
             groups = [PartitionGroup(0, cids, np.arange(size, dtype=np.int32))]
             pset = PartitionSet(sid, groups, np.empty((0, repo.dimension), dtype=np.float32))
             pset.validate(size)
-            entries[sid] = pset
+            psets.append(pset)
             continue
         rho = dispersion(owners)
         cascade = np.empty((0, repo.dimension), dtype=np.float32)
@@ -222,5 +271,5 @@ def build_partition_index(
             groups = _singleton_groups(owners)
         pset = PartitionSet(sid, groups, cascade)
         pset.validate(size)
-        entries[sid] = pset
-    return PartitionIndex(entries, rho_low, rho_high)
+        psets.append(pset)
+    return PartitionIndex.pack(psets, rho_low, rho_high)

@@ -24,12 +24,10 @@ from . import matching
 from .errors import DataError, UsageError
 from .mwmto import BoundPair, PartitionLayout, bounds_for_mwmto, mwmto_exact, partition_sims
 from .partitions import PartitionIndex
-from .pruning import run_pruner
-from .quantizer import Codebook, ClusterAssignment, SetWeightIndex, VectorInvertedIndex, top_centroids
-from .refinement import build_postings, refine
+from .pruning import PRUNERS, run_pruner
+from .quantizer import Codebook, ClusterAssignment, top_centroids
+from .refinement import Postings, refine
 from .repository import QueryTable, VectorSetRepository
-
-PRUNER_NAMES = ("bf", "base", "enhanced")
 
 
 @dataclass
@@ -51,8 +49,8 @@ class SearchParams:
             raise UsageError(f"tau must be in (0, 1], got {self.tau}")
         if self.phi_c < 1:
             raise UsageError(f"phi_c must be >= 1, got {self.phi_c}")
-        if self.pruner not in PRUNER_NAMES:
-            raise UsageError(f"pruner must be one of {PRUNER_NAMES}, got {self.pruner!r}")
+        if self.pruner not in PRUNERS:
+            raise UsageError(f"pruner must be one of {tuple(PRUNERS)}, got {self.pruner!r}")
         phi_r = 3 * self.k if self.phi_r is None else self.phi_r
         phi_ref = 5 * self.k if self.phi_ref is None else self.phi_ref
         if not self.k <= phi_r <= phi_ref:
@@ -139,19 +137,16 @@ class SearchEngine:
         repo: VectorSetRepository,
         codebook: Codebook,
         assignment: ClusterAssignment,
-        vector_index: VectorInvertedIndex,
-        weight_index: SetWeightIndex,
+        postings: Postings,
         partition_index: PartitionIndex,
         build_config: dict | None = None,
     ):
         self.repo = repo
         self.codebook = codebook
         self.assignment = assignment
-        self.vector_index = vector_index
-        self.weight_index = weight_index
+        self.postings = postings
         self.partition_index = partition_index
         self.build_config = dict(build_config or {})
-        self.postings = build_postings(vector_index, weight_index)
         self.partition_layout = PartitionLayout.build(partition_index, codebook)
 
     # -- stage pieces -----------------------------------------------------
@@ -289,7 +284,7 @@ def build_engine(
 
     codebook = train_codebook(repo, n_c=n_c, max_iters=kmeans_iters, seed=seed)
     assignment = assign_all(repo, codebook)
-    iv, iw = build_indexes(repo, assignment, codebook.n_c)
+    postings = build_indexes(assignment, codebook.n_c)
     pindex = build_partition_index(
         repo, codebook, assignment,
         rho_low=rho_low, rho_high=rho_high, seed=seed,
@@ -306,4 +301,4 @@ def build_engine(
         "n_sets": repo.n_sets,
         "total_vectors": repo.total_vectors,
     }
-    return SearchEngine(repo, codebook, assignment, iv, iw, pindex, config)
+    return SearchEngine(repo, codebook, assignment, postings, pindex, config)

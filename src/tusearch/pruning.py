@@ -299,6 +299,4 @@ PRUNERS = {
 def run_pruner(name: str, candidates, m: int, bound_fn, score_fn):
     if name not in PRUNERS:
         raise UsageError(f"unknown pruner {name!r}; expected one of {sorted(PRUNERS)}")
-    if name == "bf":
-        return exhaustive_rank(candidates, m, score_fn)
     return PRUNERS[name](candidates, m, bound_fn, score_fn)

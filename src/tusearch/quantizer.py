@@ -1,7 +1,7 @@
 """K-means codebook over the aggregate vector pool, the exact batched scan
-for each query column's top centroids, and the two flat inverted indexes
-the engine is built on: centroid -> member vectors, and set -> per-centroid
-occupancy counts.
+for each query column's top centroids, and the per-centroid postings the
+engine is built on: for each centroid, the sets with a member vector in it
+and how many.
 
 Training is plain Lloyd iteration with seeded k-means++ initialization.
 Empty clusters are re-seeded with the point currently farthest from its
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, UsageError
+from .refinement import Postings
 from .repository import VectorSetRepository
 
 # Train on a subsample when the pool is much larger than the codebook;
@@ -86,33 +87,6 @@ class ClusterAssignment:
     @property
     def total(self) -> int:
         return len(self.flat)
-
-
-@dataclass
-class VectorInvertedIndex:
-    """Centroid -> member vector handles, each list sorted by (set_id, index).
-
-    ``lists[c]`` is an (n, 2) int32 array of (set_id, index) pairs.  The lists
-    partition the handle universe.
-    """
-
-    lists: dict[int, np.ndarray]
-    n_c: int
-
-    def size_of(self, centroid_id: int) -> int:
-        arr = self.lists.get(centroid_id)
-        return 0 if arr is None else len(arr)
-
-
-@dataclass
-class SetWeightIndex:
-    """Set -> {centroid id: member count}.  Zero counts are omitted, so every
-    stored count is >= 1 and each set's counts sum to its size."""
-
-    weights: dict[int, dict[int, int]]
-
-    def count(self, set_id: int, centroid_id: int) -> int:
-        return self.weights.get(set_id, {}).get(centroid_id, 0)
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -224,30 +198,16 @@ def assign_all(repo: VectorSetRepository, cb: Codebook, chunk: int = 8192) -> Cl
     return ClusterAssignment(flat, repo.offsets.copy())
 
 
-def build_indexes(repo: VectorSetRepository, assignment: ClusterAssignment, n_c: int):
-    """Build the centroid->vectors and set->counts indexes from an assignment.
+def build_indexes(assignment: ClusterAssignment, n_c: int) -> Postings:
+    """Per-centroid postings of an assignment: the distinct sets with a
+    member vector in each centroid, id-sorted, and their member counts.
 
-    Rebuilding from the same assignment is idempotent, and the two outputs
-    are consistent by construction: the per-set counts are exactly the
-    multiplicities of that set in each centroid's list.
+    One sort of ``owner * n_sets + set_id`` keys orders the (centroid, set)
+    pairs; centroids without vectors own no slots.
     """
-    if assignment.total != repo.total_vectors:
-        raise DataError("assignment does not cover the repository")
-    sizes = repo.sizes()
-    set_ids = np.repeat(np.arange(repo.n_sets, dtype=np.int32), sizes)
-    within = np.concatenate([np.arange(s, dtype=np.int32) for s in sizes])
-    order = np.argsort(assignment.flat, kind="stable")  # stable keeps (set, index) order
-    sorted_owner = assignment.flat[order]
-    handles = np.stack([set_ids[order], within[order]], axis=1)
-    lists: dict[int, np.ndarray] = {}
-    bounds = np.searchsorted(sorted_owner, np.arange(n_c + 1))
-    for c in range(n_c):
-        lo, hi = bounds[c], bounds[c + 1]
-        if hi > lo:
-            lists[c] = np.ascontiguousarray(handles[lo:hi])
-    weights: dict[int, dict[int, int]] = {}
-    for sid in range(repo.n_sets):
-        owners = assignment.set_owners(sid)
-        cids, counts = np.unique(owners, return_counts=True)
-        weights[sid] = {int(c): int(n) for c, n in zip(cids, counts)}
-    return VectorInvertedIndex(lists, n_c=n_c), SetWeightIndex(weights)
+    n_sets = len(assignment.offsets) - 1
+    set_ids = np.repeat(np.arange(n_sets, dtype=np.int64), np.diff(assignment.offsets))
+    keys, counts = np.unique(assignment.flat.astype(np.int64) * n_sets + set_ids, return_counts=True)
+    ptr = np.zeros(n_c + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n_sets, minlength=n_c), out=ptr[1:])
+    return Postings(ptr, (keys % n_sets).astype(np.int32), counts.astype(np.int32))

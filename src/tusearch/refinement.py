@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .quantizer import SetWeightIndex, VectorInvertedIndex
 
 
 @dataclass(frozen=True)
@@ -47,19 +46,6 @@ class Postings:
     def __getitem__(self, cid: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.ptr[cid], self.ptr[cid + 1]
         return self.sets[lo:hi], self.counts[lo:hi]
-
-
-def build_postings(iv: VectorInvertedIndex, iw: SetWeightIndex) -> Postings:
-    """Flat postings of the vector index; centroids without vectors own no slots."""
-    sets, counts = [], []
-    ptr = np.zeros(iv.n_c + 1, dtype=np.int32)
-    for cid in sorted(iv.lists):
-        s, n = np.unique(iv.lists[cid][:, 0], return_counts=True)
-        sets.append(s)
-        counts.append(n)
-        ptr[cid + 1] = len(s)
-    np.cumsum(ptr, out=ptr)
-    return Postings(ptr, np.concatenate(sets).astype(np.int32), np.concatenate(counts).astype(np.int32))
 
 
 @dataclass

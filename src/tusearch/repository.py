@@ -51,28 +51,34 @@ def similarity(u, v) -> float:
     return float(np.dot(u.astype(np.float64, copy=False), v.astype(np.float64, copy=False)))
 
 
-def normalize_rows(rows: np.ndarray, where: str = "input") -> np.ndarray:
+def normalize_rows(rows: np.ndarray, where: str = "input", offsets=None) -> np.ndarray:
     """Normalize each row to unit length, returning float32.  Rows already
     unit within ``UNIT_ROUNDING`` are only converted, so normalizing twice
     gives the rows of normalizing once.
 
     Raises DataError for non-finite entries or rows with norm below
     ``ZERO_NORM`` (which cannot be normalized).  ``where`` names the vector
-    set in error messages.
+    set in error messages; with ``offsets``, the rows are the sets
+    ``offsets[i]:offsets[i + 1]`` and a message names ``{where} {i}`` and
+    the index within that set.
     """
     rows64 = np.asarray(rows, dtype=np.float64)
     if rows64.ndim != 2:
         raise DataError(f"expected a 2-d vector block for {where}")
-    if not np.isfinite(rows64).all():
-        j = int(np.flatnonzero(~np.isfinite(rows64).all(axis=1))[0])
-        raise DataError(f"non-finite vector at {where}, index {j}")
-    # np.linalg.norm's arithmetic without its per-call argument handling:
-    # ingest calls this once per set.
-    norms = np.sqrt(np.add.reduce(rows64 * rows64, axis=1))
+
+    def at(j: int) -> str:
+        if offsets is None:
+            return f"{where}, index {j}"
+        i = int(np.searchsorted(offsets, j, side="right")) - 1
+        return f"{where} {i}, index {j - int(offsets[i])}"
+
+    finite = np.isfinite(rows64).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite vector at {at(int(np.flatnonzero(~finite)[0]))}")
+    norms = np.linalg.norm(rows64, axis=1)
     small = norms < ZERO_NORM
     if small.any():
-        j = int(np.flatnonzero(small)[0])
-        raise DataError(f"zero vector at {where}, index {j}")
+        raise DataError(f"zero vector at {at(int(np.flatnonzero(small)[0]))}")
     norms[np.abs(norms - 1.0) <= UNIT_ROUNDING] = 1.0
     return (rows64 / norms[:, None]).astype(np.float32)
 
@@ -222,18 +228,27 @@ def _parse_manifest(manifest_path: Path):
     return dimension, records
 
 
-def _read_block(payload: Path, offset: int, count: int, dimension: int, set_id: int) -> np.ndarray:
-    if not payload.is_file():
-        raise DataError(f"payload not found: {payload}")
-    n_bytes = count * dimension * 4
-    with open(payload, "rb") as fh:
-        fh.seek(offset)
-        raw = fh.read(n_bytes)
-    if len(raw) != n_bytes:
-        raise DataError(
-            f"payload too short for set {set_id}: need {n_bytes} bytes at offset {offset} in {payload}"
-        )
-    return np.frombuffer(raw, dtype="<f4").reshape(count, dimension)
+def _read_rows(records, dimension: int) -> np.ndarray:
+    """The records' payload rows, stacked in record order; each payload file
+    is read once."""
+    files: dict[Path, bytes] = {}
+    blocks = []
+    for set_id, count, payload, offset in records:
+        if payload not in files:
+            if not payload.is_file():
+                raise DataError(f"payload not found: {payload}")
+            files[payload] = payload.read_bytes()
+        n_bytes = count * dimension * 4
+        if offset + n_bytes > len(files[payload]):
+            raise DataError(
+                f"payload too short for set {set_id}: need {n_bytes} bytes at offset {offset} in {payload}"
+            )
+        blocks.append(np.frombuffer(files[payload], dtype="<f4", count=count * dimension, offset=offset))
+    return np.concatenate(blocks).reshape(-1, dimension)
+
+
+def _offsets(records) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum([count for _, count, _, _ in records])])
 
 
 def ingest_repository(manifest_path) -> VectorSetRepository:
@@ -243,13 +258,9 @@ def ingest_repository(manifest_path) -> VectorSetRepository:
     unit norm (within float32 representation).
     """
     dimension, records = _parse_manifest(Path(manifest_path))
-    blocks = []
-    offsets = [0]
-    for set_id, count, payload, offset in records:
-        raw = _read_block(payload, offset, count, dimension, set_id)
-        blocks.append(normalize_rows(raw, where=f"set {set_id}"))
-        offsets.append(offsets[-1] + count)
-    return VectorSetRepository(np.vstack(blocks), np.asarray(offsets))
+    offsets = _offsets(records)
+    rows = normalize_rows(_read_rows(records, dimension), where="set", offsets=offsets)
+    return VectorSetRepository(rows, offsets)
 
 
 def load_query_table(manifest_path) -> QueryTable:
@@ -257,19 +268,15 @@ def load_query_table(manifest_path) -> QueryTable:
     dimension, records = _parse_manifest(Path(manifest_path))
     if len(records) != 1:
         raise DataError(f"query manifest must contain exactly one record, got {len(records)}")
-    set_id, count, payload, offset = records[0]
-    raw = _read_block(payload, offset, count, dimension, set_id)
-    return QueryTable(normalize_rows(raw, where="query"))
+    return QueryTable(normalize_rows(_read_rows(records, dimension), where="query"))
 
 
 def load_query_tables(manifest_path) -> list[QueryTable]:
     """Load a multi-record manifest as a list of query tables (one per record)."""
     dimension, records = _parse_manifest(Path(manifest_path))
-    out = []
-    for set_id, count, payload, offset in records:
-        raw = _read_block(payload, offset, count, dimension, set_id)
-        out.append(QueryTable(normalize_rows(raw, where=f"query {set_id}")))
-    return out
+    offsets = _offsets(records)
+    rows = normalize_rows(_read_rows(records, dimension), where="query", offsets=offsets)
+    return [QueryTable(rows[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def write_repository(repo: VectorSetRepository, directory, stem: str = "repository") -> Path:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: cardinality by plain
 augmenting paths, capacitated matching by exhaustive recursion over
-capacity states, a list-scan model of the double-ended queue, and the
-stage-1 drain as a global max-heap popped one event at a time.
+capacity states, a list-scan model of the double-ended queue, the
+stage-1 drain as a global max-heap popped one event at a time, and the
+stage-1 postings built one centroid at a time.
 """
 
 from __future__ import annotations
@@ -156,6 +157,20 @@ def reference_refine(n_sets, n_query, top_centroids_of, postings, phi_c, phi_ref
     cand = np.flatnonzero(touched)
     ranked = cand[np.lexsort((cand, -scores[cand]))][:phi_ref]
     return [(int(s), float(scores[s])) for s in ranked]
+
+
+def reference_postings(owner_lists, n_c: int):
+    """Per centroid, one ``np.unique`` over the set ids of its member
+    vectors: the (ptr, sets, counts) arrays of ``refinement.Postings``."""
+    handles = [(c, sid) for sid, owners in enumerate(owner_lists) for c in owners]
+    ptr = np.zeros(n_c + 1, dtype=np.int64)
+    sets, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for cid in range(n_c):
+        s, n = np.unique(np.array([sid for c, sid in handles if c == cid], dtype=np.int64), return_counts=True)
+        sets.append(s)
+        counts.append(n)
+        ptr[cid + 1] = ptr[cid] + len(s)
+    return ptr, np.concatenate(sets), np.concatenate(counts)
 
 
 class NaiveDepqModel:

@@ -28,8 +28,8 @@ from tusearch.pruning import (
     enhanced_prune,
     exhaustive_rank,
 )
-from tusearch.quantizer import ClusterAssignment, Codebook
-from tusearch.refinement import RefinementTrace, build_postings, refine
+from tusearch.quantizer import ClusterAssignment, Codebook, build_indexes
+from tusearch.refinement import RefinementTrace, refine
 from tusearch.repository import VectorSetRepository
 
 
@@ -317,26 +317,24 @@ def test_criterion_10_refinement_bookkeeping():
     """Traced drain runs never exceed per-centroid capacity, never let one
     query vector pay twice for one set, and drain in non-increasing
     similarity order."""
-    from tusearch.quantizer import SetWeightIndex, VectorInvertedIndex
-
     rng = np.random.default_rng(1010)
     violations = 0
     instances = 200
     for _ in range(instances):
         n_sets = int(rng.integers(2, 8))
         n_c = int(rng.integers(2, 6))
-        lists = {}
+        owner_lists = []
         weights = {}
         for sid in range(n_sets):
             owners = rng.integers(0, n_c, size=int(rng.integers(1, 6)))
+            owner_lists.append(owners)
             weights[sid] = {}
-            for idx, c in enumerate(owners):
-                lists.setdefault(int(c), []).append((sid, idx))
+            for c in owners:
                 weights[sid][int(c)] = weights[sid].get(int(c), 0) + 1
-        iv = VectorInvertedIndex(
-            {c: np.array(sorted(h), dtype=np.int32) for c, h in lists.items()}, n_c=n_c
+        offsets = np.concatenate([[0], np.cumsum([len(o) for o in owner_lists])])
+        postings = build_indexes(
+            ClusterAssignment(np.concatenate(owner_lists).astype(np.int32), offsets), n_c
         )
-        postings = build_postings(iv, SetWeightIndex(weights))
         n_query = int(rng.integers(1, 5))
         per_query = []
         for _ in range(n_query):

@@ -1,13 +1,22 @@
 """Bundle persistence and the command-line surface."""
 
+import dataclasses
 import hashlib
 import json
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tusearch.bundle import FORMAT_NAME, FORMAT_VERSION, component_sizes, load_bundle, save_bundle
+from tusearch.bundle import (
+    FORMAT_NAME,
+    FORMAT_VERSION,
+    component_sizes,
+    index_components,
+    load_bundle,
+    save_bundle,
+)
 from tusearch.cli import main
 from tusearch.errors import DataError
 from tusearch.pipeline import SearchParams, build_engine
@@ -65,7 +74,14 @@ class TestBundleRoundTrip:
         assert engine.search(query, params).items == loaded.search(query, params).items
         assert loaded.codebook.centroids.tobytes() == engine.codebook.centroids.tobytes()
         assert np.array_equal(loaded.assignment.flat, engine.assignment.flat)
-        assert loaded.weight_index.weights == engine.weight_index.weights
+        for field in ("ptr", "sets", "counts"):
+            assert np.array_equal(getattr(loaded.postings, field), getattr(engine.postings, field))
+        for field in ("matrix", "row_ids", "row_ptr", "group_start", "group_ptr", "capacities"):
+            want = getattr(engine.partition_layout, field)
+            assert np.array_equal(getattr(loaded.partition_layout, field), want), field
+        for field in ("group_ptr", "cascade_ptr", "cid_ptr", "member_ptr", "centroid_ids", "members", "cascade"):
+            want = getattr(engine.partition_index, field)
+            assert np.array_equal(getattr(loaded.partition_index, field), want), field
 
     def test_d8_repository_loads_back_bit_identical(self, tmp_path):
         # Low dimension makes an ulp move on re-normalizing likely (about one
@@ -103,7 +119,7 @@ class TestBundleRoundTrip:
             load_bundle(tmp_path / "c")
 
     @pytest.mark.parametrize(
-        "name", ["codebook.f32", "vector_index.bin", "weight_index.bin", "partitions.bin"]
+        "name", ["codebook.f32", "assignment.i32", "partitions.bin"]
     )
     def test_truncated_component_is_a_data_error(self, saved, tmp_path, capsys, name):
         bundle = shutil.copytree(saved, tmp_path / "t")
@@ -113,6 +129,30 @@ class TestBundleRoundTrip:
             load_bundle(bundle)
         assert main(["inspect", "--bundle", str(bundle)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_partition_arrays_are_checked_on_load(self, saved, tmp_path):
+        engine = load_bundle(saved)
+        pindex, n_c = engine.partition_index, engine.codebook.n_c
+        duplicated = pindex.members.copy()
+        duplicated[1] = duplicated[0]
+        short_last = pindex.member_ptr.copy()
+        short_last[-1] -= 1
+        for match, change in {
+            "group_ptr does not span": {"group_ptr": pindex.group_ptr[::-1].copy()},
+            "member_ptr does not span": {"member_ptr": short_last},
+            "centroid id without a backing row": {"centroid_ids": pindex.centroid_ids + n_c},
+            "member index outside its set": {"members": pindex.members + 100},
+            "groups do not partition": {"members": duplicated},
+        }.items():
+            bundle = shutil.copytree(saved, tmp_path / match.replace(" ", "_"))
+            damaged = SimpleNamespace(
+                partition_index=dataclasses.replace(pindex, **change),
+                codebook=engine.codebook,
+                assignment=engine.assignment,
+            )
+            rewrite_component(bundle, "partitions.bin", index_components(damaged)["partitions.bin"])
+            with pytest.raises(DataError, match=match):
+                load_bundle(bundle)
 
     def test_legacy_graph_component_is_verified_then_ignored(self, saved, sources, tmp_path):
         # bundles from before the centroid graph was removed may list graph.bin
@@ -125,6 +165,17 @@ class TestBundleRoundTrip:
         (bundle / "graph.bin").write_bytes(b"\x02")
         with pytest.raises(DataError, match="checksum mismatch for graph.bin"):
             load_bundle(bundle)
+
+    def test_version_1_bundle_must_be_rebuilt(self, saved, tmp_path, capsys):
+        bundle = shutil.copytree(saved, tmp_path / "v1")
+        meta_path = bundle / "bundle.json"
+        meta = json.loads(meta_path.read_text())
+        meta["version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DataError, match="format mismatch: found 'tusearch-bundle' v1"):
+            load_bundle(bundle)
+        assert main(["inspect", "--bundle", str(bundle)]) == 3
+        assert capsys.readouterr().err.startswith("error: bundle format mismatch")
 
     def test_version_mismatch_fails_before_parsing(self, sources, tmp_path):
         manifest, _, _ = sources

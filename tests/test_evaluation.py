@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tusearch.bundle import component_sizes, save_bundle
 from tusearch.errors import UsageError
 from tusearch.evaluation import (
     BenchConfig,
@@ -163,7 +164,7 @@ class TestRunBench:
 
     def test_index_bytes_accounting(self, report):
         sizes = report.index_bytes
-        quantized = sizes["codebook"] + sizes["vector_index"] + sizes["weight_index"] + sizes["partition_index"]
+        quantized = sizes["codebook"] + sizes["assignment"] + sizes["partitions"]
         assert quantized < sizes["raw_vectors"]
 
 
@@ -175,9 +176,12 @@ class TestWorkload:
         assert repo.n_sets == 50
         assert len(queries) == 5
 
-    def test_component_bytes_on_engine(self):
+    def test_component_bytes_on_engine(self, tmp_path):
         data = generate_synthetic(40, (3, 6), 8, 5, 0.1, seed=3)
         engine = build_engine(data.repository, seed=1)
         sizes = index_component_bytes(engine)
-        assert set(sizes) == {"raw_vectors", "codebook", "vector_index", "weight_index", "partition_index"}
-        assert all(v >= 0 for v in sizes.values())
+        assert set(sizes) == {"raw_vectors", "codebook", "assignment", "partitions"}
+        on_disk = component_sizes(save_bundle(tmp_path / "b", engine))
+        for name in ("codebook.f32", "assignment.i32", "partitions.bin"):
+            assert sizes[name.split(".")[0]] == on_disk[name]
+        assert sizes["raw_vectors"] == on_disk["repository.f32"]

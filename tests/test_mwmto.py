@@ -66,7 +66,7 @@ def random_sparse_table(rng, tau=0.5):
 
 
 def one_set_layout(cb, groups, cascade):
-    pindex = PartitionIndex({0: PartitionSet(0, groups, cascade)}, 0.2, 0.8)
+    pindex = PartitionIndex.pack([PartitionSet(0, groups, cascade)], 0.2, 0.8)
     return PartitionLayout.build(pindex, cb)
 
 
@@ -74,7 +74,7 @@ def random_partition_index(rng, cb, n_sets, d):
     """Sets of three shapes: singleton groups over distinct codebook ids,
     merged groups of several codebook ids, and cascade sets whose groups
     reference private rows (now and then mixed with a codebook id)."""
-    entries = {}
+    psets = []
     for sid in range(n_sets):
         kind = sid % 3
         n_groups = int(rng.integers(1, 6))
@@ -93,8 +93,8 @@ def random_partition_index(rng, cb, n_sets, d):
                     cids = (int(rng.integers(cb.n_c)),) + cids
             members = np.arange(int(rng.integers(1, 5)), dtype=np.int32)
             groups.append(PartitionGroup(gid, cids, members))
-        entries[sid] = PartitionSet(sid, groups, cascade)
-    return PartitionIndex(entries, 0.2, 0.8)
+        psets.append(PartitionSet(sid, groups, cascade))
+    return PartitionIndex.pack(psets, 0.2, 0.8)
 
 
 class TestPartitionSims:
@@ -155,7 +155,7 @@ class TestBatchedTables:
             layout = PartitionLayout.build(pindex, cb)
             q = random_unit_rows(rng, int(rng.integers(1, 7)), d).astype(np.float64)
             tau = float(rng.uniform(0.05, 0.6))
-            n_sets = len(pindex.entries)
+            n_sets = pindex.n_sets
             pick = rng.permutation(n_sets)[: int(rng.integers(1, n_sets + 1))].tolist()
             tables = partition_sims(q, layout, pick, tau)
             assert sorted(tables) == sorted(pick)

@@ -2,8 +2,10 @@
 
 perfbench wraps the functions in its ``HOOKS`` list with timing spans and,
 in a traced run, drains sample queries with a ``RefinementTrace`` and reads
-``engine.postings[cid][0]``.  A rename would otherwise show only when a
-traced benchmark runs.  ``perfbench/run.py`` is read, not imported.
+``engine.postings[cid][0]``, each set's ``assignment.set_owners(sid)`` and
+``partition_index.of(sid).groups``, and the bundle's ``component_sizes``.
+A rename would otherwise show only when a traced benchmark runs.
+``perfbench/run.py`` is read, not imported.
 """
 
 import ast
@@ -13,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import tusearch.pipeline as pipeline
+import tusearch.quantizer as quantizer
+from tusearch.bundle import component_sizes, load_bundle, save_bundle
 from tusearch.pipeline import SearchParams, build_engine
 from tusearch.refinement import RefinementTrace
 from tusearch.repository import QueryTable, generate_synthetic
@@ -61,3 +65,32 @@ def test_stage_one_hooks_run_once_per_search(engine, monkeypatch):
         monkeypatch.setattr(pipeline, name, counted)
     engine.search(QueryTable(engine.repo.vectors_of(5)), SearchParams(k=5, phi_c=4))
     assert calls == {"refine": 1, "top_centroids": 1}
+
+
+def test_built_engine_answers_what_perfbench_reads(engine, tmp_path):
+    repo = engine.repo
+    for sid in range(repo.n_sets):
+        owners = engine.assignment.set_owners(sid)
+        groups = engine.partition_index.of(sid).groups
+        assert len(owners) == repo.size_of(sid) == sum(g.capacity for g in groups)
+    touched = sum(len(engine.postings[cid][0]) for cid in range(engine.codebook.n_c))
+    assert touched == len(engine.postings.sets) > 0
+    sizes = component_sizes(save_bundle(tmp_path / "b", engine))
+    assert {"codebook.f32", "partitions.bin"} <= set(sizes)
+
+
+def test_only_a_build_enters_the_hooked_build_indexes(monkeypatch, tmp_path):
+    """perfbench's ``quantizer.index`` span wraps ``quantizer.build_indexes``;
+    the bundle loader binds the function at import, so loads stay outside it."""
+    calls = []
+    inner = quantizer.build_indexes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(quantizer, "build_indexes", counted)
+    built = build_engine(generate_synthetic(30, (3, 6), 8, 5, 0.2, seed=42).repository, n_c=6, seed=1)
+    assert len(calls) == 1
+    load_bundle(save_bundle(tmp_path / "b", built))
+    assert len(calls) == 1

@@ -1,10 +1,13 @@
-"""Codebook training, nearest-centroid assignment, inverted index build."""
+"""Codebook training, nearest-centroid assignment, postings build."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_postings
 from tusearch.errors import UsageError
 from tusearch.quantizer import (
     TRAIN_POINTS_PER_CENTROID,
@@ -144,53 +147,63 @@ class TestBuildIndexes:
         repo = data.repository
         cb = train_kmeans(repo.matrix, 6, seed=4)
         assignment = assign_all(repo, cb)
-        iv, iw = build_indexes(repo, assignment, cb.n_c)
-        return repo, cb, assignment, iv, iw
+        return repo, cb, assignment, build_indexes(assignment, cb.n_c)
 
     def test_counting_example(self):
-        matrix = np.eye(4, dtype=np.float32)[[0, 0, 1]]
-        repo = VectorSetRepository(matrix, np.array([0, 3]))
-        flat = np.array([2, 2, 5], dtype=np.int32)
-        assignment = ClusterAssignment(flat, repo.offsets.copy())
-        iv, iw = build_indexes(repo, assignment, 6)
-        assert iw.weights[0] == {2: 2, 5: 1}
-        assert iv.size_of(2) == 2 and iv.size_of(5) == 1
+        assignment = ClusterAssignment(np.array([2, 2, 5], dtype=np.int32), np.array([0, 3]))
+        postings = build_indexes(assignment, 6)
+        assert [a.tolist() for a in postings[2]] == [[0], [2]]
+        assert [a.tolist() for a in postings[5]] == [[0], [1]]
+        assert all(len(postings[c][0]) == 0 for c in (0, 1, 3, 4))
 
     def test_lists_partition_handles(self, small):
-        repo, cb, assignment, iv, iw = small
-        total = sum(iv.size_of(c) for c in range(cb.n_c))
-        assert total == repo.total_vectors
-        seen = set()
-        for c, handles in iv.lists.items():
-            for sid, idx in handles:
-                assert (sid, idx) not in seen
-                seen.add((sid, idx))
-        assert len(seen) == repo.total_vectors
+        repo, cb, _, postings = small
+        assert int(postings.counts.sum()) == repo.total_vectors
+        slots = list(zip(np.repeat(np.arange(cb.n_c), np.diff(postings.ptr)).tolist(), postings.sets.tolist()))
+        assert len(set(slots)) == len(slots)
 
     def test_lists_sorted_by_handle(self, small):
-        _, _, _, iv, _ = small
-        for handles in iv.lists.values():
-            keys = [tuple(h) for h in handles]
-            assert keys == sorted(keys)
+        _, cb, _, postings = small
+        for c in range(cb.n_c):
+            assert (np.diff(postings[c][0]) > 0).all()
 
-    def test_weight_index_consistent_with_vector_index(self, small):
-        repo, cb, _, iv, iw = small
-        recomputed = {sid: {} for sid in range(repo.n_sets)}
-        for c, handles in iv.lists.items():
-            for sid, _ in handles:
-                recomputed[int(sid)][c] = recomputed[int(sid)].get(c, 0) + 1
-        assert recomputed == iw.weights
+    def test_counts_match_the_assignment(self, small):
+        repo, cb, assignment, postings = small
+        recomputed = {}
+        for sid in range(repo.n_sets):
+            for c in assignment.set_owners(sid).tolist():
+                recomputed[(c, sid)] = recomputed.get((c, sid), 0) + 1
+        got = {(c, int(s)): int(n) for c in range(cb.n_c) for s, n in zip(*postings[c])}
+        assert got == recomputed
 
     def test_counts_sum_to_set_sizes(self, small):
-        repo, _, _, _, iw = small
-        for sid in range(repo.n_sets):
-            assert sum(iw.weights[sid].values()) == repo.size_of(sid)
-            assert all(n >= 1 for n in iw.weights[sid].values())
+        repo, _, _, postings = small
+        assert (postings.counts >= 1).all()
+        per_set = np.bincount(postings.sets, weights=postings.counts, minlength=repo.n_sets)
+        assert per_set.tolist() == repo.sizes().tolist()
 
     def test_rebuild_idempotent(self, small):
-        repo, cb, assignment, iv, iw = small
-        iv2, iw2 = build_indexes(repo, assignment, cb.n_c)
-        assert iw2.weights == iw.weights
-        assert set(iv2.lists) == set(iv.lists)
-        for c in iv.lists:
-            assert np.array_equal(iv2.lists[c], iv.lists[c])
+        _, cb, assignment, postings = small
+        again = build_indexes(assignment, cb.n_c)
+        for field in ("ptr", "sets", "counts"):
+            assert np.array_equal(getattr(again, field), getattr(postings, field))
+
+
+@st.composite
+def owner_lists(draw):
+    """Owner centroids per set; some sets and some centroids hold nothing."""
+    n_c = draw(st.integers(1, 7))
+    lists = draw(st.lists(st.lists(st.integers(0, n_c - 1), max_size=6), min_size=1, max_size=8))
+    return lists, n_c
+
+
+@settings(max_examples=200, deadline=None)
+@given(owner_lists())
+def test_build_indexes_matches_per_centroid_reference(case):
+    lists, n_c = case
+    offsets = np.concatenate([[0], np.cumsum([len(o) for o in lists])])
+    flat = np.array([c for o in lists for c in o], dtype=np.int32)
+    got = build_indexes(ClusterAssignment(flat, offsets), n_c)
+    for array, want in zip((got.ptr, got.sets, got.counts), reference_postings(lists, n_c)):
+        assert array.dtype == np.int32
+        assert np.array_equal(array, want)

@@ -9,27 +9,23 @@ from hypothesis import strategies as st
 from oracles import reference_refine
 from tusearch.errors import UsageError
 from tusearch.pipeline import SearchParams, build_engine
-from tusearch.quantizer import SetWeightIndex, VectorInvertedIndex
-from tusearch.refinement import RefinementTrace, build_postings, refine
+from tusearch.quantizer import ClusterAssignment, build_indexes
+from tusearch.refinement import RefinementTrace, refine
 from tusearch.repository import QueryTable, generate_synthetic
 
 
 def make_postings(assignments, n_c=None):
     """assignments: per set, list of owning centroid ids (one per vector);
     ``n_c`` above the largest owner leaves the top centroids empty."""
-    lists = {}
     weights = {}
     for sid, owners in enumerate(assignments):
         weights[sid] = {}
-        for idx, c in enumerate(owners):
-            lists.setdefault(c, []).append((sid, idx))
+        for c in owners:
             weights[sid][c] = weights[sid].get(c, 0) + 1
-    n_c = max(n_c or 1, max(lists) + 1 if lists else 1)
-    iv = VectorInvertedIndex(
-        {c: np.array(sorted(handles), dtype=np.int32) for c, handles in lists.items()},
-        n_c=n_c,
-    )
-    return build_postings(iv, SetWeightIndex(weights)), weights
+    flat = np.array([c for owners in assignments for c in owners], dtype=np.int32)
+    n_c = max(n_c or 1, int(flat.max()) + 1 if len(flat) else 1)
+    offsets = np.concatenate([[0], np.cumsum([len(owners) for owners in assignments])])
+    return build_indexes(ClusterAssignment(flat, offsets), n_c), weights
 
 
 def fixed_tops(per_query):

@@ -1,5 +1,7 @@
 """Repository layer: similarity primitive, ingestion, synthetic generation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,42 @@ class TestIngest:
         with pytest.raises(DataError, match="not UTF-8"):
             ingest_repository(manifest)
 
+    def test_sets_over_two_payloads_read_once_each(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        blocks = [rng.standard_normal((m, 3)) for m in (2, 3, 4, 3)]
+        write_manifest(tmp_path, blocks[:2], 3, stem="a")
+        write_manifest(tmp_path, blocks[2:], 3, stem="b")
+        manifest = tmp_path / "both.tsv"
+        manifest.write_text(
+            f"{MANIFEST_MAGIC}\tdimension=3\n"
+            "0\t2\ta.f32\t0\n1\t3\ta.f32\t24\n2\t4\tb.f32\t0\n3\t3\tb.f32\t48\n"
+        )
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        repo = ingest_repository(manifest)
+        assert sorted(reads) == ["a.f32", "b.f32"]
+        want = np.vstack([normalize_rows(b.astype("<f4")) for b in blocks])
+        assert np.array_equal(repo.matrix, want)
+        assert repo.offsets.tolist() == [0, 2, 5, 9, 12]
+        for sid, row, value, match in (
+            (3, 2, np.nan, "non-finite vector at set 3, index 2"),
+            (2, 1, 0.0, "zero vector at set 2, index 1"),
+        ):
+            bad = [b.copy() for b in blocks[2:]]
+            bad[sid - 2][row] = value
+            write_manifest(tmp_path, bad, 3, stem="b")
+            with pytest.raises(DataError, match=match):
+                ingest_repository(manifest)
+        (tmp_path / "b.f32").write_bytes((tmp_path / "b.f32").read_bytes()[:-4])
+        with pytest.raises(DataError, match="payload too short for set 3"):
+            ingest_repository(manifest)
+
     def test_truncated_payload(self, tmp_path):
         manifest = write_manifest(tmp_path, [np.ones((2, 3))], 3)
         payload = tmp_path / "repo.f32"
@@ -171,6 +209,10 @@ class TestQueryTables:
         batch_manifest = write_manifest(tmp_path, [rng.standard_normal((m, 3)) for m in (2, 3)], 3, stem="qs")
         batch = load_query_tables(batch_manifest)
         assert [q.n_vectors for q in batch] == [2, 3]
+        blocks = [rng.standard_normal((m, 3)) for m in (2, 3)]
+        blocks[1][2] = 0.0
+        with pytest.raises(DataError, match="zero vector at query 1, index 2"):
+            load_query_tables(write_manifest(tmp_path, blocks, 3, stem="bad"))
 
     def test_unit_rows_accepted_within_tolerance(self):
         rows = np.eye(3, dtype=np.float32)
