@@ -1,13 +1,7 @@
 """Top-k table union search over column-embedding vector sets."""
 
 from .errors import DataError, InvariantError, TuSearchError, UsageError
-from .matching import (
-    MatchingResult,
-    ThresholdBipartiteGraph,
-    brute_force_unionability,
-    build_threshold_graph,
-    unionability,
-)
+from .matching import MatchingResult, brute_force_unionability, unionability
 from .mwmto import BoundPair, PartitionLayout, bounds_for_mwmto, mwmto_exact, partition_sims
 from .pipeline import SearchEngine, SearchParams, SearchResult, build_engine
 from .pruning import base_prune, enhanced_prune, exhaustive_rank
@@ -35,7 +29,6 @@ __all__ = [
     "SearchEngine",
     "SearchParams",
     "SearchResult",
-    "ThresholdBipartiteGraph",
     "TuSearchError",
     "UsageError",
     "VectorSetRepository",
@@ -45,7 +38,6 @@ __all__ = [
     "brute_force_unionability",
     "build_engine",
     "build_indexes",
-    "build_threshold_graph",
     "enhanced_prune",
     "exhaustive_rank",
     "generate_synthetic",

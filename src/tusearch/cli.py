@@ -2,10 +2,11 @@
 
 Subcommands: ``synth`` (write a synthetic repository + query batch),
 ``build`` (train and persist an index bundle), ``search`` (query a
-bundle), ``eval`` (recall against the exact oracle), ``bench`` (parameter
-sweep), and ``inspect`` (bundle statistics).  All stochastic components
-take their randomness from ``--seed``, so every command is deterministic
-given its flags.
+bundle), ``eval`` (recall against the exact top-k of a bound-ordered
+scan, computed afresh on every run), ``bench`` (parameter sweep), and
+``inspect`` (bundle statistics).  All stochastic components take their
+randomness from ``--seed``, so every command is deterministic given its
+flags.
 
 Exit codes: 0 success, 2 usage error, 3 data or file-system error, 4 internal
 invariant violation.  Errors print one ``error: ...`` line on stderr.
@@ -123,14 +124,11 @@ def cmd_eval(args) -> int:
     queries = load_query_tables(args.queries)
     params = _params(args)
     params.resolve(engine.repo.n_sets)  # reject bad parameters before the oracle runs
-    truth = ground_truth_rankings(
-        queries, engine.repo, params.tau,
-        cache_dir=args.cache, threads=args.threads,
-    )
+    truth = ground_truth_rankings(queries, engine.repo, params.tau, params.k)
     recalls = []
     for qi, query in enumerate(queries):
         result = engine.search(query, params)
-        truth_ids = [sid for sid, _, _ in truth[qi][: args.k]]
+        truth_ids = [sid for sid, _, _ in truth[qi]]
         r = recall([sid for sid, _, _ in result.items], truth_ids)
         recalls.append(r)
         print(f"query\t{qi}\trecall\t{r:.4f}")
@@ -144,11 +142,10 @@ def cmd_bench(args) -> int:
         print(f"wrote\t{args.write_default_config}")
         return 0
     config = BenchConfig.from_json(Path(args.config).read_text(encoding="utf-8")) if args.config else BenchConfig()
-    report = run_bench(config, cache_dir=args.cache,
-                       progress=(lambda row: print(
-                           f"point\t{row['method']}\tphi_c={row['phi_c']}\tphi_ref={row['phi_ref']}"
-                           f"\trecall={row['recall']:.4f}\tp50_ms={row['p50_ms']:.3f}",
-                           file=sys.stderr)) if args.verbose else None)
+    report = run_bench(config, progress=(lambda row: print(
+        f"point\t{row['method']}\tphi_c={row['phi_c']}\tphi_ref={row['phi_ref']}"
+        f"\trecall={row['recall']:.4f}\tp50_ms={row['p50_ms']:.3f}",
+        file=sys.stderr)) if args.verbose else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.tsv").write_text(report.to_tsv(), encoding="utf-8")
@@ -230,14 +227,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--queries", required=True, help="manifest with one record per query table")
     _add_search_flags(p)
-    p.add_argument("--cache", default=None, help="ground-truth cache directory")
-    p.add_argument("--threads", type=int, default=1, help="oracle worker cap")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="parameter sweep over a synthetic workload")
     p.add_argument("--config", default=None, help="bench config JSON (default built-in)")
     p.add_argument("--out", default="bench_out")
-    p.add_argument("--cache", default=None)
     p.add_argument("--write-default-config", default=None, metavar="PATH")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_bench)

@@ -1,13 +1,13 @@
 """Ground truth, recall measurement, and the benchmark harness.
 
-The oracle scores a query against every repository set with the exact
-thresholded matching and sorts the full repository; recall@k is then the
-overlap of retrieved ids with the oracle's top-k.  The harness sweeps the
+Ground truth is the exact top-k of ``matching.exact_topk``: one product of
+the query with the whole repository bounds every set's score, and sets
+are verified with the exact thresholded matching in descending upper
+bound until no unverified set can reach the k-th weight.  Recall@k is the
+overlap of retrieved ids with that top-k.  The harness sweeps the
 probe/pool parameter grids over the same query batch with each pruning
 strategy, timing single-threaded and reporting medians so runs stay
-comparable across machines.  Ground truth is cached beside the working
-directory keyed by (repository content hash, tau) because computing it
-dominates everything else.
+comparable across machines.
 """
 
 from __future__ import annotations
@@ -15,39 +15,15 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .bundle import index_components
 from .errors import UsageError
-from .matching import unionability
+from .matching import exact_topk
 from .pipeline import SearchEngine, SearchParams, build_engine
 from .repository import QueryTable, VectorSetRepository, normalize_rows
-
-
-def oracle_ranking(
-    query: QueryTable,
-    repo: VectorSetRepository,
-    tau: float,
-    threads: int = 1,
-) -> list[tuple[int, float, int]]:
-    """Exact score of the query against every set, sorted by
-    (score desc, cardinality desc, set_id asc)."""
-
-    def score_one(sid: int):
-        res = unionability(query.vectors, repo.vectors_of(sid), tau)
-        return sid, res.weight, res.cardinality
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(score_one, range(repo.n_sets)))
-    else:
-        rows = [score_one(sid) for sid in range(repo.n_sets)]
-    rows.sort(key=lambda t: (-t[1], -t[2], t[0]))
-    return rows
 
 
 def oracle_topk(
@@ -55,11 +31,10 @@ def oracle_topk(
     repo: VectorSetRepository,
     tau: float,
     k: int,
-    threads: int = 1,
 ) -> list[tuple[int, float, int]]:
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    return oracle_ranking(query, repo, tau, threads=threads)[: min(k, repo.n_sets)]
+    """The exact best ``min(k, n_sets)`` sets, sorted by (score desc,
+    cardinality desc, set_id asc)."""
+    return exact_topk(query.vectors, repo, tau, k)
 
 
 def recall(retrieved, truth) -> float:
@@ -74,44 +49,10 @@ def ground_truth_rankings(
     queries: list[QueryTable],
     repo: VectorSetRepository,
     tau: float,
-    cache_dir=None,
-    threads: int = 1,
+    k: int,
 ) -> list[list[tuple[int, float, int]]]:
-    """Full oracle rankings for a query batch, cached by (repo hash, tau)."""
-    cache_path = None
-    if cache_dir is not None:
-        qhash = _hash_queries(queries)
-        tag = f"gt_{repo.content_hash()[:16]}_{qhash[:16]}_tau{float(tau).hex()}.npz"
-        cache_path = Path(cache_dir) / tag
-        if cache_path.is_file():
-            blob = np.load(cache_path)
-            return _unpack_rankings(blob)
-    out = [oracle_ranking(q, repo, tau, threads=threads) for q in queries]
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        ids = np.array([[sid for sid, _, _ in r] for r in out], dtype=np.int32)
-        scores = np.array([[s for _, s, _ in r] for r in out], dtype=np.float64)
-        cards = np.array([[c for _, _, c in r] for r in out], dtype=np.int32)
-        np.savez(cache_path, ids=ids, scores=scores, cards=cards)
-    return out
-
-
-def _hash_queries(queries: list[QueryTable]) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    for q in queries:
-        h.update(np.int64(q.n_vectors).tobytes())
-        h.update(q.vectors.tobytes())
-    return h.hexdigest()
-
-
-def _unpack_rankings(blob) -> list[list[tuple[int, float, int]]]:
-    ids, scores, cards = blob["ids"], blob["scores"], blob["cards"]
-    return [
-        [(int(i), float(s), int(c)) for i, s, c in zip(ids[r], scores[r], cards[r])]
-        for r in range(len(ids))
-    ]
+    """The exact top-k of every query in a batch."""
+    return [oracle_topk(q, repo, tau, k) for q in queries]
 
 
 @dataclass
@@ -239,7 +180,7 @@ def index_component_bytes(engine: SearchEngine) -> dict:
     return {"raw_vectors": int(engine.repo.matrix.nbytes), **sizes}
 
 
-def run_bench(config: BenchConfig, cache_dir=None, progress=None) -> BenchReport:
+def run_bench(config: BenchConfig, progress=None) -> BenchReport:
     """Sweep the grid and measure recall + latency per (method, point).
 
     Pruning is lossless, so all methods see identical result sets; the
@@ -253,8 +194,8 @@ def run_bench(config: BenchConfig, cache_dir=None, progress=None) -> BenchReport
         repo, n_c=config.n_c, rho_low=config.rho_low, rho_high=config.rho_high,
         seed=config.seed,
     )
-    truth = ground_truth_rankings(queries, repo, config.tau, cache_dir=cache_dir)
-    truth_topk = [set(sid for sid, _, _ in r[: config.k]) for r in truth]
+    truth = ground_truth_rankings(queries, repo, config.tau, config.k)
+    truth_topk = [set(sid for sid, _, _ in r) for r in truth]
     rows = []
     for phi_c in config.phi_c_grid:
         for mult in config.phi_ref_multiples:

@@ -18,7 +18,8 @@ The exact score reuses the shifted-weight assignment reduction from
 it can be used: its capacity, or the number of query vectors that reach
 it if fewer.  The lower bound is a greedy capacity-respecting assignment
 (query vectors in input order, each taking its best group with remaining
-capacity); the upper bound pools every thresholded entry and sums the
+capacity), capped where it matches fewer query vectors than the exact
+score does; the upper bound pools every thresholded entry and sums the
 largest ``min(n_query, set_size)`` of them, ignoring all pairing
 constraints.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, UsageError
-from .matching import MatchingResult, solve_shifted_assignment
+from .matching import MatchingResult, matching_floors, ranges, solve_shifted_assignment
 from .partitions import PartitionIndex
 from .quantizer import Codebook
 
@@ -49,7 +50,8 @@ class PartitionSimTable:
     """Thresholded similarities of every query vector to every group of one
     set: ``sims`` is ``n_query x n_groups`` float64 holding 0 below tau,
     ``valid`` marks the entries that clear tau, and ``capacities`` holds
-    each group's vector count.
+    each group's vector count.  ``floors`` and ``most`` are the table's
+    ``matching.matching_floors``, which ``bounds_for_mwmto`` reads.
 
     The constructor takes per query vector the (group_id, similarity)
     entries clearing tau; ``partition_sims`` builds the dense form directly.
@@ -63,12 +65,15 @@ class PartitionSimTable:
             for gid, s in row:
                 self.sims[qi, gid] = s
                 self.valid[qi, gid] = True
+        floors, most = matching_floors(self.sims, self.valid, self.capacities, [0])
+        self.floors, self.most = floors[:, 0], int(most[0])
 
     @classmethod
-    def dense(cls, sims: np.ndarray, valid: np.ndarray, capacities: np.ndarray) -> "PartitionSimTable":
-        """Wrap the three arrays as they are, without copying."""
+    def dense(cls, sims, valid, capacities, floors, most: int) -> "PartitionSimTable":
+        """Wrap the arrays as they are, without copying."""
         table = cls.__new__(cls)
         table.sims, table.valid, table.capacities = sims, valid, capacities
+        table.floors, table.most = floors, most
         return table
 
     @property
@@ -116,13 +121,6 @@ class PartitionLayout:
         )
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of ``range(s, s + n)`` over ``zip(starts, lengths)``."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
-
-
 @dataclass(frozen=True)
 class MwmtoResult:
     score: float
@@ -139,24 +137,27 @@ def partition_sims(
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
     sids = np.asarray(set_ids, dtype=np.int64)
+    if len(sids) == 0:
+        return {}
     row0 = layout.row_ptr[sids]
     n_rows = layout.row_ptr[sids + 1] - row0
     group0 = layout.group_ptr[sids]
     n_groups = layout.group_ptr[sids + 1] - group0
-    groups = _ranges(group0, n_groups)
+    groups = ranges(group0, n_groups)
     # layout position minus gathered position, per set
     moved = np.repeat(row0 - (np.cumsum(n_rows) - n_rows), n_groups)
-    rows = layout.matrix[layout.row_ids[_ranges(row0, n_rows)]]
+    rows = layout.matrix[layout.row_ids[ranges(row0, n_rows)]]
     sims = np.asarray(q64, dtype=np.float64) @ rows.T
-    if len(groups):
-        sims = np.maximum.reduceat(sims, layout.group_start[groups] - moved, axis=1)
+    sims = np.maximum.reduceat(sims, layout.group_start[groups] - moved, axis=1)
     valid = sims >= tau
     sims[~valid] = 0.0
     caps = layout.capacities[groups]
     ends = np.cumsum(n_groups).tolist()
+    starts = [0] + ends[:-1]
+    floors, most = matching_floors(sims, valid, caps, starts)
     return {
-        sid: PartitionSimTable.dense(sims[:, a:b], valid[:, a:b], caps[a:b])
-        for sid, a, b in zip(sids.tolist(), [0] + ends[:-1], ends)
+        sid: PartitionSimTable.dense(sims[:, a:b], valid[:, a:b], caps[a:b], floors[:, t], m)
+        for t, (sid, a, b, m) in enumerate(zip(sids.tolist(), starts, ends, most.tolist()))
     }
 
 
@@ -204,11 +205,16 @@ def greedy_lower_bound(table: PartitionSimTable) -> tuple[float, dict[int, int]]
 def bounds_for_mwmto(table: PartitionSimTable) -> BoundPair:
     """Sandwiching estimates around the exact capacitated score.
 
-    The upper bound caps the number of summed entries at
+    The lower bound is the greedy weight, capped by the table's ``floors``
+    when the greedy assignment takes fewer query vectors than ``most``, as
+    the exact score's assignment of the largest cardinality then does.  The
+    upper bound caps the number of summed entries at
     ``min(n_query, set_size)`` where set_size counts the set's vectors, not
     the threshold-reachable capacity.
     """
-    lb, _ = greedy_lower_bound(table)
+    lb, taken = greedy_lower_bound(table)
+    if len(taken) < table.most:
+        lb = min(lb, float(table.floors[len(taken)]))
     pool = np.sort(table.sims[table.valid])[::-1]
     take = min(table.n_query, table.set_size)
     ub = float(sum(pool[:take].tolist()))

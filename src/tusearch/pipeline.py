@@ -8,8 +8,10 @@ capacitated many-to-one score against each set's partitions, pruning with
 the greedy/pooled bounds; one product over the engine's flat partition
 layout gives the similarity tables of all stage-1 candidates.  Stage 3
 scores each survivor with the exact thresholded matching against all of
-the set's vectors, pruning with bounds from one query-by-set product.  Queries are independent; every search call
-builds its own scratch state, so one engine serves many threads.
+the set's vectors, pruning with the bounds of ``matching.set_bounds``: one
+product of the query with every survivor's rows gives all of them.
+Queries are independent; every search call builds its own scratch state,
+so one engine serves many threads.
 """
 
 from __future__ import annotations
@@ -158,22 +160,6 @@ class SearchEngine:
             cached = state.clustered[set_id] = (res.weight, res.cardinality)
         return cached
 
-    def _clustered_bounds(self, state: _QueryState, set_id: int, tau: float) -> BoundPair:
-        """Bounds from one thresholded query-by-set product.  The upper bound
-        is the smaller of the row-max and column-max sums; the lower bound is
-        a greedy matching in which each query column, in input order, takes
-        its most similar still-free set column."""
-        sims = state.q64 @ self.repo.vectors_of(set_id).astype(np.float64).T
-        sims[sims < tau] = 0.0
-        ub = min(float(sims.max(axis=1).sum()), float(sims.max(axis=0).sum()))
-        lb = 0.0
-        for row in sims:  # rows are views, so a taken column reads 0 below
-            j = int(row.argmax())
-            if row[j] > 0.0:
-                lb += float(row[j])
-                sims[:, j] = 0.0
-        return BoundPair(min(lb, ub), ub)
-
     # -- public operations --------------------------------------------------
 
     def clustered_score(self, query: QueryTable, set_id: int, tau: float) -> tuple[float, int]:
@@ -183,9 +169,10 @@ class SearchEngine:
         return self._clustered(_QueryState(query), set_id, tau)
 
     def clustered_bounds(self, query: QueryTable, set_id: int, tau: float) -> BoundPair:
-        """Greedy lower and row/column-max upper bound around ``clustered_score``."""
+        """The ``matching.set_bounds`` pair around ``clustered_score``."""
         self._check_query(query)
-        return self._clustered_bounds(_QueryState(query), set_id, tau)
+        lb, ub = matching.set_bounds(query.vectors, self.repo, [set_id], tau)
+        return BoundPair(float(lb[0]), float(ub[0]))
 
     def refine(self, query: QueryTable, params: SearchParams | None = None, trace=None):
         """Run only the first stage; returns (set_id, score) ranked."""
@@ -243,11 +230,14 @@ class SearchEngine:
         t2 = time.perf_counter()
         diag.stage_seconds["filter"] = t2 - t1
 
+        ids3 = [sid for sid, _ in ranked2]
+        lb3, ub3 = matching.set_bounds(state.q64, self.repo, ids3, tau)
+        bounds3 = dict(zip(ids3, zip(lb3.tolist(), ub3.tolist())))
         ranked3, stats3 = run_pruner(
             resolved.pruner,
-            [sid for sid, _ in ranked2],
+            ids3,
             resolved.k,
-            lambda sid: _pair(self._clustered_bounds(state, sid, tau)),
+            bounds3.__getitem__,
             lambda sid: self._clustered(state, sid, tau)[0],
         )
         diag.scoring_score_calls = stats3.score_calls

@@ -18,7 +18,6 @@ format with a single record.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,15 +80,6 @@ def normalize_rows(rows: np.ndarray, where: str = "input", offsets=None) -> np.n
         raise DataError(f"zero vector at {at(int(np.flatnonzero(small)[0]))}")
     norms[np.abs(norms - 1.0) <= UNIT_ROUNDING] = 1.0
     return (rows64 / norms[:, None]).astype(np.float32)
-
-
-@dataclass(frozen=True)
-class VectorSet:
-    """One table's columns as unit vectors.  Column order is preserved for
-    reporting but never affects scores."""
-
-    set_id: int
-    vectors: np.ndarray  # (m, d) float32, unit rows
 
 
 @dataclass(frozen=True)
@@ -167,21 +157,8 @@ class VectorSetRepository:
             raise DataError(f"unknown set_id {set_id} (repository has {self.n_sets} sets)")
         return self.matrix[self.offsets[set_id] : self.offsets[set_id + 1]]
 
-    def set(self, set_id: int) -> VectorSet:
-        return VectorSet(set_id, self.vectors_of(set_id))
-
-    def __iter__(self):
-        for sid in range(self.n_sets):
-            yield self.set(sid)
-
     def __len__(self) -> int:
         return self.n_sets
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.offsets.tobytes())
-        h.update(self.matrix.tobytes())
-        return h.hexdigest()
 
 
 def _parse_manifest(manifest_path: Path):

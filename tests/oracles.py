@@ -3,8 +3,9 @@
 These deliberately avoid the production code paths: cardinality by plain
 augmenting paths, capacitated matching by exhaustive recursion over
 capacity states, a list-scan model of the double-ended queue, the
-stage-1 drain as a global max-heap popped one event at a time, and the
-stage-1 postings built one centroid at a time.
+stage-1 drain as a global max-heap popped one event at a time, the
+stage-1 postings built one centroid at a time, and ground truth as one
+exact matching per set with no bounds and no early stop.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+
+from tusearch.matching import unionability
 
 
 def kuhn_matching_cardinality(valid: np.ndarray) -> int:
@@ -76,6 +79,17 @@ def enumerate_mwmto(rows: list[list[tuple[int, float]]], capacities: list[int]) 
 
     go(0, 0, 0.0)
     return best[0]
+
+
+def reference_ranking(q_mat, repo, tau: float) -> list[tuple[int, float, int]]:
+    """Every set's exact score, one ``unionability`` call per set, sorted by
+    (score desc, cardinality desc, set id asc)."""
+    rows = []
+    for sid in range(repo.n_sets):
+        res = unionability(q_mat, repo.vectors_of(sid), tau)
+        rows.append((sid, res.weight, res.cardinality))
+    rows.sort(key=lambda t: (-t[1], -t[2], t[0]))
+    return rows
 
 
 def reference_partition_sims(q_mat, pset, cb, tau: float) -> list[list[tuple[int, float]]]:

@@ -38,15 +38,13 @@ def ok(line: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def default_workload(tmp_path_factory):
+def default_workload():
     """The default synthetic workload: 2000 sets, 50 queries, exact ground
     truth, and an engine built with the default configuration."""
     config = BenchConfig()
     repo, queries = make_workload(config)
     engine = build_engine(repo, seed=config.seed)
-    truth = ground_truth_rankings(
-        queries, repo, config.tau, cache_dir=tmp_path_factory.mktemp("gt")
-    )
+    truth = ground_truth_rankings(queries, repo, config.tau, config.k)
     return config, repo, queries, engine, truth
 
 
@@ -142,16 +140,14 @@ def test_criterion_4_pruning_work_reduction(default_workload):
        f"(ratio {mean_enhanced / mean_base:.3f})")
 
 
-def test_criterion_5_pipeline_exactness_limit(tmp_path_factory):
+def test_criterion_5_pipeline_exactness_limit():
     """Single-partition build, every centroid probed, no pool pressure: the
     pipeline's top-k equals the exact oracle's top-k for 50 queries on a
     500-set repository."""
     config = BenchConfig(n_sets=500, n_queries=50)
     repo, queries = make_workload(config)
     engine = build_engine(repo, seed=config.seed, single_partition=True)
-    truth = ground_truth_rankings(
-        queries, repo, config.tau, cache_dir=tmp_path_factory.mktemp("gt5")
-    )
+    truth = ground_truth_rankings(queries, repo, config.tau, config.k)
     n = repo.n_sets
     k = config.k
     params = SearchParams(

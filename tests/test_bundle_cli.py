@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tusearch import cli
 from tusearch.bundle import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -271,18 +272,20 @@ class TestCli:
         assert err.startswith("error: ")
         assert "\n" == err[err.index("\n"):]  # single line
 
-    def test_eval_rejects_bad_tau_before_ground_truth(self, sources, tmp_path, capsys):
+    def test_eval_rejects_bad_tau_before_ground_truth(self, sources, tmp_path, capsys, monkeypatch):
         manifest, queries, _ = sources
         assert main([
             "build", "--manifest", str(manifest), "--out", str(tmp_path / "b"), "--seed", "1",
         ]) == 0
+        truth_calls = []
+        monkeypatch.setattr(cli, "ground_truth_rankings", lambda *a: truth_calls.append(a))
         for tau in ("nan", "1.5"):
             code = main([
                 "eval", "--bundle", str(tmp_path / "b"), "--queries", str(queries),
-                "--tau", tau, "--cache", str(tmp_path / "gt"),
+                "--tau", tau,
             ])
             assert code == 2
-        assert not (tmp_path / "gt").exists()
+        assert truth_calls == []
 
     def test_build_onto_existing_file_exits_3(self, sources, tmp_path, capsys):
         manifest, _, _ = sources
@@ -310,7 +313,6 @@ class TestCli:
             "eval", "--bundle", str(tmp_path / "b2"), "--queries", str(queries),
             "-k", "5", "--tau", "0.7", "--phi-c", str(n_c),
             "--phi-ref", str(n), "--phi-r", str(n),
-            "--cache", str(tmp_path / "cache"),
         ]) == 0
         out = capsys.readouterr().out
         assert "mean_recall\t1.0000" in out
@@ -340,7 +342,6 @@ class TestCli:
         config_path.write_text(json.dumps(small))
         assert main([
             "bench", "--config", str(config_path), "--out", str(tmp_path / "bench_out"),
-            "--cache", str(tmp_path / "cache"),
         ]) == 0
         capsys.readouterr()
         report = (tmp_path / "bench_out" / "report.tsv").read_text().strip().splitlines()

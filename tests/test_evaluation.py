@@ -7,10 +7,8 @@ from tusearch.bundle import component_sizes, save_bundle
 from tusearch.errors import UsageError
 from tusearch.evaluation import (
     BenchConfig,
-    ground_truth_rankings,
     index_component_bytes,
     make_workload,
-    oracle_ranking,
     oracle_topk,
     recall,
     run_bench,
@@ -42,32 +40,6 @@ class TestOracle:
         assert {sid for sid, _, _ in ranking} == set(range(repo.n_sets))
         scores = [s for _, s, _ in ranking]
         assert scores == sorted(scores, reverse=True)
-
-    def test_threaded_matches_serial(self, small_world):
-        repo, queries = small_world
-        a = oracle_ranking(queries[1], repo, 0.7, threads=1)
-        b = oracle_ranking(queries[1], repo, 0.7, threads=4)
-        assert a == b
-
-    def test_caching_round_trip(self, small_world, tmp_path):
-        repo, queries = small_world
-        first = ground_truth_rankings(queries, repo, 0.7, cache_dir=tmp_path)
-        files = list(tmp_path.glob("gt_*.npz"))
-        assert len(files) == 1
-        again = ground_truth_rankings(queries, repo, 0.7, cache_dir=tmp_path)
-        assert again == first
-
-    def test_cache_keyed_by_tau(self, small_world, tmp_path):
-        repo, queries = small_world
-        ground_truth_rankings(queries, repo, 0.7, cache_dir=tmp_path)
-        ground_truth_rankings(queries, repo, 0.5, cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("gt_*.npz"))) == 2
-
-    def test_cache_keys_nearby_taus_apart(self, small_world, tmp_path):
-        repo, queries = small_world
-        ground_truth_rankings(queries, repo, 0.7, cache_dir=tmp_path)
-        ground_truth_rankings(queries, repo, 0.7000001, cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("gt_*.npz"))) == 2
 
 
 class TestRecall:
@@ -104,14 +76,14 @@ class TestBenchConfig:
 
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
+def report():
     config = BenchConfig(
         n_sets=80, n_queries=6, cols_lo=3, cols_hi=7, dimension=12,
         n_topics=8, noise=0.1, seed=31, k=5, tau=0.7,
         phi_c_grid=[4, 8], phi_ref_multiples=[2, 4],
         methods=["bf", "base", "enhanced"], reps=2, warmup=1,
     )
-    return run_bench(config, cache_dir=tmp_path_factory.mktemp("gt"))
+    return run_bench(config)
 
 
 class TestRunBench:

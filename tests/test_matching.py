@@ -2,43 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerate_best_matching, kuhn_matching_cardinality, sets_from_sims
-from tusearch.errors import UsageError
+from oracles import (
+    enumerate_best_matching,
+    kuhn_matching_cardinality,
+    random_unit_rows,
+    reference_ranking,
+    sets_from_sims,
+)
+from tusearch.errors import DataError, UsageError
 from tusearch.matching import (
     brute_force_unionability,
-    build_threshold_graph,
+    exact_topk,
+    set_bounds,
     solve_shifted_assignment,
     unionability,
 )
-
-
-class TestThresholdGraph:
-    def test_threshold_filter(self):
-        q, v = sets_from_sims([[0.9, 0.8], [0.85, 0.2]])
-        g = build_threshold_graph(q, v, 0.5)
-        assert g.left_size == 2 and g.right_size == 2
-        assert len(g.edges) == 3
-        assert all(w >= 0.5 for _, _, w in g.edges)
-
-    def test_tau_above_one_gives_empty_graph(self):
-        rng = np.random.default_rng(0)
-        raw = rng.standard_normal((3, 5))
-        unit = raw / np.linalg.norm(raw, axis=1)[:, None]
-        g = build_threshold_graph(unit, unit, 1.5)
-        assert g.edges == []
-
-    def test_identical_sets_keep_diagonal(self):
-        rng = np.random.default_rng(1)
-        raw = rng.standard_normal((4, 6))
-        unit = raw / np.linalg.norm(raw, axis=1)[:, None]
-        g = build_threshold_graph(unit, unit, 0.99)
-        diag = {(i, j) for i, j, _ in g.edges if i == j}
-        assert diag == {(i, i) for i in range(4)}
-
-    def test_tau_must_be_positive(self):
-        with pytest.raises(UsageError):
-            build_threshold_graph(np.eye(2), np.eye(2), 0.0)
+from tusearch.repository import VectorSetRepository
 
 
 class TestUnionability:
@@ -179,3 +161,85 @@ class TestShiftReduction:
         assert res.cardinality == 1
         assert res.weight == pytest.approx(0.95, abs=1e-12)
         assert res.assignment == [(1, 0)]
+
+
+@st.composite
+def repositories(draw):
+    """A query and a repository of random unit vectors in few dimensions, so
+    that thresholds both keep and drop entries; sets of one vector, repeated
+    sets and sets with no entry above tau all occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    blocks = [random_unit_rows(rng, n, d) for n in sizes]
+    if draw(st.booleans()):
+        blocks.append(blocks[0].copy())  # a repeated set ties on everything
+    offsets = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
+    repo = VectorSetRepository(np.vstack(blocks), offsets)
+    query = random_unit_rows(rng, draw(st.integers(1, 6)), d)
+    tau = draw(st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.9, 0.999]))
+    return query, repo, tau
+
+
+class TestSetBounds:
+    def test_lb_valid_when_greedy_blocks_a_row(self):
+        # Greedy takes .99 three times and leaves the last query column
+        # unmatched (2.97); the exact score matches all four at .7 (2.8).
+        sims = [[.99, .7, 0, 0], [0, .99, .7, 0], [0, 0, .99, .7], [.7, 0, 0, 0]]
+        q, v = sets_from_sims(sims)
+        repo = VectorSetRepository(v, [0, len(v)])
+        exact = unionability(q, repo.vectors_of(0), 0.6)
+        assert (exact.cardinality, exact.weight) == (4, pytest.approx(2.8, abs=1e-6))
+        lb, ub = set_bounds(q, repo, [0], 0.6)
+        assert lb[0] <= exact.weight + 1e-9
+        assert exact.weight <= ub[0] + 1e-9
+
+    def test_empty_candidate_list(self):
+        repo = VectorSetRepository(np.eye(2), [0, 2])
+        lb, ub = set_bounds(np.eye(2), repo, [], 0.5)
+        assert len(lb) == len(ub) == 0
+
+    def test_unknown_set_id(self):
+        repo = VectorSetRepository(np.eye(2), [0, 2])
+        with pytest.raises(DataError, match="unknown set_id"):
+            set_bounds(np.eye(2), repo, [1], 0.5)
+
+    def test_tau_must_be_positive(self):
+        repo = VectorSetRepository(np.eye(2), [0, 2])
+        with pytest.raises(UsageError):
+            set_bounds(np.eye(2), repo, [0], 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(repositories(), st.data())
+    def test_bounds_sandwich_the_exact_score(self, case, data):
+        query, repo, tau = case
+        cands = data.draw(st.lists(
+            st.integers(0, repo.n_sets - 1), min_size=1, max_size=repo.n_sets, unique=True
+        ))
+        lb, ub = set_bounds(query, repo, cands, tau)
+        for sid, low, high in zip(cands, lb.tolist(), ub.tolist()):
+            exact = unionability(query, repo.vectors_of(sid), tau).weight
+            assert low <= exact + 1e-9
+            assert exact <= high + 1e-9
+
+
+class TestExactTopk:
+    @settings(max_examples=200, deadline=None)
+    @given(repositories(), st.data())
+    def test_equals_the_per_set_reference(self, case, data):
+        query, repo, tau = case
+        k = data.draw(st.integers(1, repo.n_sets))
+        got = exact_topk(query, repo, tau, k)
+        want = reference_ranking(query, repo, tau)[:k]
+        assert [(sid, card) for sid, _, card in got] == [(sid, card) for sid, _, card in want]
+        for (_, a, _), (_, b, _) in zip(got, want):
+            assert a == pytest.approx(b, abs=1e-9)
+
+    def test_k_is_capped_at_the_repository_size(self):
+        repo = VectorSetRepository(np.eye(3), [0, 1, 3])
+        assert [sid for sid, _, _ in exact_topk(np.eye(3)[:1], repo, 0.5, 5)] == [0, 1]
+
+    def test_k_must_be_positive(self):
+        repo = VectorSetRepository(np.eye(2), [0, 2])
+        with pytest.raises(UsageError):
+            exact_topk(np.eye(2), repo, 0.5, 0)

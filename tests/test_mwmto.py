@@ -170,6 +170,9 @@ class TestBatchedTables:
                     for (_, a), (_, b) in zip(g_rows, w_rows):
                         assert abs(a - b) <= 1e-12
                 assert (got.sims[~got.valid] == 0.0).all()
+                alone = table_from(want, [g.capacity for g in pset.groups])
+                assert got.most == alone.most
+                assert np.allclose(got.floors, alone.floors, rtol=0.0, atol=1e-12)
 
     def test_no_candidates_gives_no_tables(self):
         rng = np.random.default_rng(22)
@@ -325,7 +328,33 @@ class TestBounds:
             table = random_sparse_table(rng)
             res = mwmto_exact(table)
             bounds = bounds_for_mwmto(table)
+            assert bounds.lb <= res.score + 1e-9
             assert res.score <= bounds.ub + 1e-9
+
+    def test_lb_valid_when_greedy_blocks_a_row(self):
+        # Greedy takes .99 three times and leaves the last row without a
+        # group (2.97); the exact score matches all four rows at .7 (2.8).
+        rows = [[(0, .99), (1, .7)], [(1, .99), (2, .7)], [(2, .99), (3, .7)], [(0, .7)]]
+        table = table_from(rows, [1, 1, 1, 1])
+        assert greedy_lower_bound(table)[0] == pytest.approx(2.97, abs=1e-9)
+        exact = mwmto_exact(table)
+        assert (exact.cardinality, exact.score) == (4, pytest.approx(2.8, abs=1e-9))
+        assert bounds_for_mwmto(table).lb <= exact.score + 1e-9
+
+    def test_lb_caps_greedy_only_below_the_largest_cardinality(self):
+        # greedy matches one row (0.9) where two fit; the two row minima sum
+        # to 1.4, above the greedy weight, so the greedy weight stands
+        table = table_from([[(0, 0.9), (1, 0.6)], [(0, 0.8)]], [1, 1])
+        assert bounds_for_mwmto(table).lb == pytest.approx(0.9, abs=1e-9)
+        # two groups of capacity one take two rows, so no assignment matches
+        # the third: the greedy weight 1.8 stands although the three row
+        # minima sum to 1.05
+        table = table_from([[(0, 0.9), (1, 0.1)], [(1, 0.9)], [(0, 0.05)]], [1, 1])
+        assert bounds_for_mwmto(table).lb == pytest.approx(1.8, abs=1e-9)
+        # below the largest cardinality, the row minima cap it
+        table = table_from([[(0, 0.9), (1, 0.1)], [(0, 0.2)]], [1, 1])
+        assert bounds_for_mwmto(table).lb == pytest.approx(0.3, abs=1e-9)
+        assert mwmto_exact(table).score == pytest.approx(0.3, abs=1e-9)
 
     def test_lb_assignment_is_feasible(self):
         rng = np.random.default_rng(11)
@@ -387,10 +416,14 @@ def capacitated_rows(draw):
 @given(capacitated_rows())
 def test_trimmed_expansion_matches_enumeration(case):
     rows, caps = case
-    res = mwmto_exact(table_from(rows, caps))
+    table = table_from(rows, caps)
+    res = mwmto_exact(table)
     want_card, want_weight = enumerate_mwmto(rows, caps)
     assert res.cardinality == want_card
     assert res.score == pytest.approx(want_weight, abs=1e-9)
+    bounds = bounds_for_mwmto(table)
+    assert bounds.lb <= want_weight + 1e-9
+    assert want_weight <= bounds.ub + 1e-9
     used = {}
     for qi, gid in res.assignment.items():
         assert gid in dict(rows[qi])

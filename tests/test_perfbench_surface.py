@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import tusearch.matching as matching
 import tusearch.pipeline as pipeline
 import tusearch.quantizer as quantizer
 from tusearch.bundle import component_sizes, load_bundle, save_bundle
@@ -54,17 +55,25 @@ def test_traced_refine_fills_what_perfbench_reads(engine):
 
 
 def test_stage_one_hooks_run_once_per_search(engine, monkeypatch):
-    calls = {"refine": 0, "top_centroids": 0}
-    for name in calls:
-        inner = getattr(pipeline, name)
+    """perfbench requires one stage-1 span, two ``pruning.run`` spans (stages
+    2 and 3) and at least one ``matching.exact`` span in every traced search."""
+    hooked = [(pipeline, "refine"), (pipeline, "top_centroids"), (pipeline, "run_pruner"),
+              (matching, "unionability")]
+    calls = {name: 0 for _, name in hooked}
+    for module, name in hooked:
+        inner = getattr(module, name)
 
         def counted(*args, _inner=inner, _name=name, **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, counted)
-    engine.search(QueryTable(engine.repo.vectors_of(5)), SearchParams(k=5, phi_c=4))
-    assert calls == {"refine": 1, "top_centroids": 1}
+        monkeypatch.setattr(module, name, counted)
+    for pruner in ("bf", "base", "enhanced"):
+        calls.update(dict.fromkeys(calls, 0))
+        engine.search(QueryTable(engine.repo.vectors_of(5)), SearchParams(k=5, phi_c=4, pruner=pruner))
+        assert calls["unionability"] >= 1
+        assert calls == {"refine": 1, "top_centroids": 1, "run_pruner": 2,
+                         "unionability": calls["unionability"]}
 
 
 def test_built_engine_answers_what_perfbench_reads(engine, tmp_path):
