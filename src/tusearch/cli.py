@@ -30,6 +30,7 @@ from .evaluation import (
     recall,
     run_bench,
 )
+from .partitions import BRANCHES, branch_of
 from .pipeline import SearchParams, build_engine
 from .pruning import PRUNERS
 from .repository import (
@@ -93,8 +94,11 @@ def cmd_build(args) -> int:
         seed=args.seed,
         single_partition=args.single_partition,
     )
+    t_save = time.perf_counter()
     out = bundle_io.save_bundle(args.out, engine)
-    elapsed = time.perf_counter() - t0
+    t_end = time.perf_counter()
+    elapsed = t_end - t0
+    phases = {**engine.phase_seconds, "save": t_end - t_save}
     sizes = bundle_io.component_sizes(out)
     for name, nbytes in sorted(sizes.items()):
         print(f"component\t{name}\t{nbytes}")
@@ -102,9 +106,27 @@ def cmd_build(args) -> int:
     quantized = sum(v for k, v in sizes.items() if k not in ("repository.f32", "repository.tsv"))
     print(f"bytes_raw_vectors\t{raw}")
     print(f"bytes_index_components\t{quantized}")
+    _print_branch_mix(engine)
+    for phase, seconds in phases.items():
+        print(f"phase_seconds\t{phase}\t{seconds:.3f}")
     print(f"build_seconds\t{elapsed:.3f}")
     print(f"bundle\t{out}")
     return 0
+
+
+def _print_branch_mix(engine) -> None:
+    """Sets per partition branch by the dispersion rule, or one ``single``
+    line for a single-partition build.  A set's distinct owning centroids
+    are its posting slots."""
+    n_sets = engine.repo.n_sets
+    if engine.build_config.get("single_partition"):
+        print(f"partition_branch\tsingle\t{n_sets}")
+        return
+    pindex = engine.partition_index
+    distinct = np.bincount(engine.postings.sets, minlength=n_sets)
+    branch = branch_of(distinct, engine.repo.sizes(), pindex.rho_low, pindex.rho_high)
+    for name, count in zip(BRANCHES, np.bincount(branch, minlength=len(BRANCHES))):
+        print(f"partition_branch\t{name}\t{count}")
 
 
 def cmd_search(args) -> int:
@@ -173,6 +195,7 @@ def cmd_inspect(args) -> int:
     hist, edges = np.histogram(rhos, bins=10, range=(0.0, 1.0))
     for i, count in enumerate(hist):
         print(f"dispersion_hist\t{edges[i]:.1f}-{edges[i + 1]:.1f}\t{int(count)}")
+    _print_branch_mix(engine)
     pindex = engine.partition_index
     for count, n in zip(*np.unique(np.diff(pindex.group_ptr), return_counts=True)):
         print(f"partition_count_hist\t{count}\t{n}")

@@ -1,16 +1,23 @@
 """Per-set partitioning of vectors into centroid groups.
 
-Each repository set starts as singleton groups, one per owning centroid.
-Sets whose vectors spread over too many centroids (dispersion at or above
-the upper threshold) get their groups merged pairwise by maximum
-centroid-to-centroid similarity until the group count drops below the
-threshold.  Sets concentrated in too few centroids (dispersion at or below
-the lower threshold) are re-clustered locally; the local centroids become
-set-private "cascade" centroids that never enter the global indexes.
+Each repository set starts with one group per owning centroid, in centroid
+id order.  Sets whose vectors spread over too many centroids (dispersion at
+or above the upper threshold) merge their groups by single linkage: two
+groups' similarity is the largest inner product between their centroids,
+read from one ``n_c x n_c`` Gram matrix of the codebook, so a merged group's
+similarity to any other is the larger of its two parts' and nothing is
+recomputed.  Each step merges the most similar pair, ties going to the
+lowest (id, id) pair, and the merged group keeps the lower id; merging stops
+as soon as groups / size drops below the threshold or one group is left.
+Sets concentrated in too few centroids (dispersion at or below the lower
+threshold) are re-clustered locally; the local centroids become set-private
+"cascade" centroids that never enter the global indexes.  Sets in between
+keep one group per owning centroid.
 
-Group centroid ids below ``n_c`` reference the global codebook; ids at or
-above ``n_c`` index the owning set's cascade centroid matrix at
-``id - n_c``.
+Build labels every vector with its group and writes the flat
+``PartitionIndex`` arrays from those labels with stable sorts.  Group
+centroid ids below ``n_c`` reference the global codebook; ids at or above
+``n_c`` index the owning set's cascade centroid matrix at ``id - n_c``.
 """
 
 from __future__ import annotations
@@ -41,14 +48,6 @@ class PartitionSet:
     set_id: int
     groups: list[PartitionGroup]
     cascade_centroids: np.ndarray  # (r, d) float32; empty for most sets
-
-    def validate(self, set_size: int) -> None:
-        seen = np.concatenate([g.member_indices for g in self.groups]) if self.groups else np.array([], dtype=np.int64)
-        if len(seen) != set_size or len(np.unique(seen)) != set_size:
-            raise DataError(f"groups of set {self.set_id} do not partition its vectors")
-        for g in self.groups:
-            if g.capacity < 1 or not g.centroid_ids:
-                raise DataError(f"empty group in set {self.set_id}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,24 @@ class PartitionIndex:
         cascade = self.cascade[self.cascade_ptr[set_id] : self.cascade_ptr[set_id + 1]]
         return PartitionSet(set_id, groups, cascade)
 
+    def validate(self, offsets: np.ndarray) -> None:
+        """Raise ``DataError`` naming the first set whose members are not a
+        permutation of its vector indices, or that has a group without
+        members or centroids; ``offsets`` are the repository's set offsets."""
+        sizes = np.diff(offsets)
+        set_ids = np.arange(len(sizes))
+        group_set = np.repeat(set_ids, np.diff(self.group_ptr))
+        member_set = np.repeat(group_set, np.diff(self.member_ptr))
+        inside = (self.members >= 0) & (self.members < sizes[member_set])
+        hits = np.bincount(offsets[member_set[inside]] + self.members[inside], minlength=offsets[-1])
+        bad = np.bincount(member_set[~inside], minlength=len(sizes)) > 0
+        bad |= np.bincount(np.repeat(set_ids, sizes)[hits != 1], minlength=len(sizes)) > 0
+        if bad.any():
+            raise DataError(f"groups of set {int(np.argmax(bad))} do not partition its vectors")
+        empty = (np.diff(self.member_ptr) < 1) | (np.diff(self.cid_ptr) < 1)
+        if empty.any():
+            raise DataError(f"empty group in set {int(group_set[np.argmax(empty)])}")
+
 
 def _offsets(counts: list[int]) -> np.ndarray:
     return np.r_[0, np.cumsum(counts, dtype=np.int64)].astype(np.int32)
@@ -120,26 +137,6 @@ def dispersion(set_owners: np.ndarray) -> float:
     return len(np.unique(set_owners)) / len(set_owners)
 
 
-def resolve_centroid(cid: int, cb: Codebook, cascade: np.ndarray | None) -> np.ndarray:
-    if cid < cb.n_c:
-        return cb.centroids64()[cid]
-    if cascade is None or cid - cb.n_c >= len(cascade):
-        raise DataError(f"centroid id {cid} has no backing matrix")
-    return cascade[cid - cb.n_c].astype(np.float64)
-
-
-def group_similarity(
-    a: PartitionGroup,
-    b: PartitionGroup,
-    cb: Codebook,
-    cascade: np.ndarray | None = None,
-) -> float:
-    """Maximum inner product over cross pairs of the two groups' centroids."""
-    mat_a = np.stack([resolve_centroid(c, cb, cascade) for c in a.centroid_ids])
-    mat_b = np.stack([resolve_centroid(c, cb, cascade) for c in b.centroid_ids])
-    return float((mat_a @ mat_b.T).max())
-
-
 def default_cascade_k(rho_low: float, rho_high: float):
     """Local cluster count targeting the middle of the dispersion band."""
     target = (rho_low + rho_high) / 2.0
@@ -150,57 +147,42 @@ def default_cascade_k(rho_low: float, rho_high: float):
     return policy
 
 
-def _singleton_groups(owners: np.ndarray) -> list[PartitionGroup]:
-    groups = []
-    for gid, cid in enumerate(np.unique(owners)):
-        members = np.flatnonzero(owners == cid).astype(np.int32)
-        groups.append(PartitionGroup(gid, (int(cid),), members))
-    return groups
+BRANCHES = ("merge", "plain", "cascade")
 
 
-def _merge_high_dispersion(groups: list[PartitionGroup], set_size: int, rho_high: float, cb: Codebook) -> list[PartitionGroup]:
-    # Pairwise gsim cache keyed by group_id; ids stay stable across merges
-    # (the merged group keeps the smaller id) so ties resolve deterministically
-    # by the lowest (id, id) pair.
-    alive = {g.group_id: g for g in groups}
-    gsim: dict[tuple[int, int], float] = {}
-    ids = sorted(alive)
-    for i, p in enumerate(ids):
-        for q in ids[i + 1 :]:
-            gsim[(p, q)] = group_similarity(alive[p], alive[q], cb)
-    while len(alive) / set_size >= rho_high and len(alive) > 1:
-        best_pair = None
-        best_sim = -np.inf
-        for pair in sorted(gsim):
-            if pair[0] not in alive or pair[1] not in alive:
-                continue
-            s = gsim[pair]
-            if s > best_sim:
-                best_sim = s
-                best_pair = pair
-        p, q = best_pair
-        merged = PartitionGroup(
-            p,
-            tuple(sorted(set(alive[p].centroid_ids) | set(alive[q].centroid_ids))),
-            np.sort(np.concatenate([alive[p].member_indices, alive[q].member_indices])),
-        )
-        del alive[q]
-        alive[p] = merged
-        for other in alive:
-            if other == p:
-                continue
-            key = (min(other, p), max(other, p))
-            gsim[key] = group_similarity(merged, alive[other], cb)
-    return [alive[i] for i in sorted(alive)]
+def branch_of(distinct: np.ndarray, sizes: np.ndarray, rho_low: float, rho_high: float) -> np.ndarray:
+    """Each set's index into ``BRANCHES``, from its distinct owning
+    centroids and its size by the ``dispersion`` rule: merge at or above
+    ``rho_high``, cascade at or below ``rho_low``, plain in between."""
+    rho = np.asarray(distinct) / np.asarray(sizes)
+    return np.where(rho >= rho_high, 0, np.where(rho <= rho_low, 2, 1))
 
 
-def _cascade_split(
-    vectors: np.ndarray,
-    k: int,
-    n_c: int,
-    seed: int,
-    max_iters: int,
-) -> tuple[list[PartitionGroup], np.ndarray]:
+def _single_linkage(sims: np.ndarray, size: int, rho_high: float) -> np.ndarray:
+    """Group label of each of a set's owning centroids after merging.
+
+    ``sims`` is the set's slice of the centroid Gram matrix, rows in
+    centroid id order, and is consumed.  It stays symmetric, so the first
+    maximum in row-major order is the lowest (p, q) pair with p < q.
+    """
+    m = len(sims)
+    np.fill_diagonal(sims, -np.inf)
+    label = np.arange(m)
+    groups = m
+    while groups / size >= rho_high and groups > 1:
+        p, q = divmod(int(np.argmax(sims)), m)
+        row = np.maximum(sims[p], sims[q])
+        row[[p, q]] = -np.inf
+        sims[p] = sims[:, p] = row
+        sims[q] = sims[:, q] = -np.inf
+        label[label == q] = p
+        groups -= 1
+    return np.unique(label, return_inverse=True)[1]
+
+
+def _cascade_split(vectors: np.ndarray, k: int, seed: int, max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local k-means of one set: each vector's group label and the kept
+    centroid rows (float32), dropping empty local clusters."""
     local = train_kmeans(vectors.astype(np.float64), k, max_iters=max_iters, seed=seed)
     cents = local.centroids64()
     d2 = (
@@ -209,15 +191,8 @@ def _cascade_split(
         + np.einsum("ij,ij->i", cents, cents)[None, :]
     )
     labels = np.argmin(d2, axis=1)
-    kept: list[PartitionGroup] = []
-    kept_rows = []
-    for j in range(local.n_c):
-        members = np.flatnonzero(labels == j).astype(np.int32)
-        if len(members) == 0:
-            continue  # empty local cluster: drop it, coverage is unaffected
-        kept.append(PartitionGroup(len(kept), (n_c + len(kept_rows),), members))
-        kept_rows.append(local.centroids[j])
-    return kept, np.stack(kept_rows).astype(np.float32)
+    kept = np.flatnonzero(np.bincount(labels, minlength=local.n_c))
+    return np.searchsorted(kept, labels), local.centroids[kept]
 
 
 def build_partition_index(
@@ -241,35 +216,70 @@ def build_partition_index(
         raise UsageError(f"need 0 < rho_low < rho_high <= 1, got {rho_low}, {rho_high}")
     if cascade_k is None:
         cascade_k = default_cascade_k(rho_low, rho_high)
-    psets = []
-    for sid in range(repo.n_sets):
-        owners = assignment.set_owners(sid)
-        size = len(owners)
-        if single_partition:
-            cids = tuple(int(c) for c in np.unique(owners))
-            groups = [PartitionGroup(0, cids, np.arange(size, dtype=np.int32))]
-            pset = PartitionSet(sid, groups, np.empty((0, repo.dimension), dtype=np.float32))
-            pset.validate(size)
-            psets.append(pset)
-            continue
-        rho = dispersion(owners)
-        cascade = np.empty((0, repo.dimension), dtype=np.float32)
-        if rho <= rho_low:
-            k = int(cascade_k(size))
-            if k < 1 or k > size:
-                raise UsageError(f"cascade_k produced invalid k={k} for set of size {size}")
-            groups, cascade = _cascade_split(
-                repo.vectors_of(sid), k, cb.n_c, seed=(seed * 1_000_003 + sid) & 0x7FFFFFFF,
-                max_iters=local_kmeans_iters,
-            )
-        elif rho >= rho_high:
-            groups = _merge_high_dispersion(_singleton_groups(owners), size, rho_high, cb)
-            groups = [
-                PartitionGroup(i, g.centroid_ids, g.member_indices) for i, g in enumerate(groups)
-            ]
-        else:
-            groups = _singleton_groups(owners)
-        pset = PartitionSet(sid, groups, cascade)
-        pset.validate(size)
-        psets.append(pset)
-    return PartitionIndex.pack(psets, rho_low, rho_high)
+    n_c, offsets = cb.n_c, assignment.offsets
+    sizes = np.diff(offsets)
+    set_ids = np.arange(repo.n_sets)
+    vec_set = np.repeat(set_ids, sizes)
+    # One pair per distinct (set, owning centroid), in (set, centroid id)
+    # order; a pair's label is its group within the set.
+    pairs, vec_pair = np.unique(vec_set * n_c + assignment.flat, return_inverse=True)
+    pair_set, pair_cid = np.divmod(pairs, n_c)
+    n_groups = np.bincount(pair_set, minlength=repo.n_sets)
+    pair_ptr = _offsets(n_groups)
+    pair_label = np.arange(len(pairs)) - pair_ptr[pair_set]
+    if single_partition:
+        branch = np.ones(repo.n_sets, dtype=np.int64)
+        pair_label[:] = 0
+        n_groups[:] = 1
+    else:
+        branch = branch_of(n_groups, sizes, rho_low, rho_high)
+    gram = cb.centroids64() @ cb.centroids64().T
+    gram = np.maximum(gram, gram.T)  # exactly symmetric, as _single_linkage needs
+    for sid in np.flatnonzero(branch == 0):
+        lo, hi = pair_ptr[sid], pair_ptr[sid + 1]
+        labels = _single_linkage(gram[np.ix_(pair_cid[lo:hi], pair_cid[lo:hi])], int(sizes[sid]), rho_high)
+        pair_label[lo:hi] = labels
+        n_groups[sid] = labels.max() + 1
+    vec_label = pair_label[vec_pair]
+    n_cascade = np.zeros(repo.n_sets, dtype=np.int64)
+    cascade = [np.empty((0, repo.dimension), dtype=np.float32)]
+    for sid in np.flatnonzero(branch == 2):
+        size = int(sizes[sid])
+        k = int(cascade_k(size))
+        if k < 1 or k > size:
+            raise UsageError(f"cascade_k produced invalid k={k} for set of size {size}")
+        labels, cents = _cascade_split(
+            repo.vectors_of(sid), k, seed=(seed * 1_000_003 + int(sid)) & 0x7FFFFFFF,
+            max_iters=local_kmeans_iters,
+        )
+        vec_label[offsets[sid] : offsets[sid + 1]] = labels
+        n_groups[sid] = n_cascade[sid] = len(cents)
+        cascade.append(cents)
+
+    group_ptr = _offsets(n_groups)
+    vec_group = group_ptr[vec_set] + vec_label
+    order = np.argsort(vec_group, kind="stable")
+    # A codebook group lists the centroids of its pairs; a cascade group
+    # has the one id n_c + j of its own row j.
+    codebook_pair = branch[pair_set] != 2
+    cascade_ptr = _offsets(n_cascade)
+    cascade_set = np.repeat(set_ids, n_cascade)
+    cascade_row = np.arange(cascade_ptr[-1]) - cascade_ptr[cascade_set]
+    cid_group = np.concatenate([
+        group_ptr[pair_set[codebook_pair]] + pair_label[codebook_pair],
+        group_ptr[cascade_set] + cascade_row,
+    ])
+    cid_order = np.argsort(cid_group, kind="stable")
+    pindex = PartitionIndex(
+        group_ptr=group_ptr,
+        cascade_ptr=cascade_ptr,
+        cid_ptr=_offsets(np.bincount(cid_group, minlength=group_ptr[-1])),
+        member_ptr=_offsets(np.bincount(vec_group, minlength=group_ptr[-1])),
+        centroid_ids=np.concatenate([pair_cid[codebook_pair], n_c + cascade_row])[cid_order].astype(np.int32),
+        members=(order - offsets[vec_set[order]]).astype(np.int32),
+        cascade=np.concatenate(cascade),
+        rho_low=rho_low,
+        rho_high=rho_high,
+    )
+    pindex.validate(offsets)
+    return pindex

@@ -150,6 +150,9 @@ class SearchEngine:
         self.partition_index = partition_index
         self.build_config = dict(build_config or {})
         self.partition_layout = PartitionLayout.build(partition_index, codebook)
+        # Seconds of each build phase, filled by ``build_engine`` and never
+        # saved, so identical builds stay byte-identical.
+        self.phase_seconds: dict[str, float] = {}
 
     # -- stage pieces -----------------------------------------------------
 
@@ -268,18 +271,24 @@ def build_engine(
     kmeans_iters: int = 25,
     single_partition: bool = False,
 ) -> SearchEngine:
-    """Train the codebook and assemble every index for a repository."""
+    """Train the codebook and assemble every index for a repository; the
+    engine's ``phase_seconds`` holds the time of each phase."""
     from .partitions import build_partition_index
     from .quantizer import assign_all, build_indexes, train_codebook
 
+    times = [time.perf_counter()]
     codebook = train_codebook(repo, n_c=n_c, max_iters=kmeans_iters, seed=seed)
+    times.append(time.perf_counter())
     assignment = assign_all(repo, codebook)
+    times.append(time.perf_counter())
     postings = build_indexes(assignment, codebook.n_c)
+    times.append(time.perf_counter())
     pindex = build_partition_index(
         repo, codebook, assignment,
         rho_low=rho_low, rho_high=rho_high, seed=seed,
         single_partition=single_partition,
     )
+    times.append(time.perf_counter())
     config = {
         "n_c": codebook.n_c,
         "rho_low": rho_low,
@@ -291,4 +300,6 @@ def build_engine(
         "n_sets": repo.n_sets,
         "total_vectors": repo.total_vectors,
     }
-    return SearchEngine(repo, codebook, assignment, postings, pindex, config)
+    engine = SearchEngine(repo, codebook, assignment, postings, pindex, config)
+    engine.phase_seconds = dict(zip(("train", "assign", "postings", "partitions"), np.diff(times).tolist()))
+    return engine

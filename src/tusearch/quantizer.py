@@ -22,6 +22,8 @@ from .repository import VectorSetRepository
 # Train on a subsample when the pool is much larger than the codebook;
 # assignment still covers every vector.
 TRAIN_POINTS_PER_CENTROID = 256
+# Rows per block of the point-to-centroid distance matrix.
+NEAREST_BLOCK = 1024
 
 
 @dataclass
@@ -89,21 +91,40 @@ class ClusterAssignment:
         return len(self.flat)
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) squared Euclidean distances, float64 throughout.
-    p2 = np.einsum("ij,ij->i", points, points)
-    c2 = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = p2[:, None] - 2.0 * points @ centroids.T + c2[None, :]
+def _sq_dists(points: np.ndarray, centroids: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    # (n, k) squared Euclidean distances, float64 throughout, built in the
+    # one buffer of the product; ``p2`` is the points' squared norms.
+    d2 = points @ centroids.T
+    d2 *= -2.0
+    d2 += p2[:, None]
+    d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
+def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centroid, ties to the lowest id, and its squared
+    distance.  Works through ``NEAREST_BLOCK`` rows at a time so each
+    distance block stays in cache; a row's distances do not depend on the
+    block it falls in."""
+    labels = np.empty(len(points), dtype=np.intp)
+    dists = np.empty(len(points), dtype=np.float64)
+    for start in range(0, len(points), NEAREST_BLOCK):
+        block = np.asarray(points[start : start + NEAREST_BLOCK], dtype=np.float64)
+        d2 = _sq_dists(block, centroids, np.einsum("ij,ij->i", block, block))
+        rows = slice(start, start + len(block))
+        labels[rows] = np.argmin(d2, axis=1)
+        dists[rows] = np.take_along_axis(d2, labels[rows, None], axis=1)[:, 0]
+    return labels, dists
+
+
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
+    p2 = np.einsum("ij,ij->i", points, points)
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    d2 = _sq_dists(points, centroids[0:1])[:, 0]
+    d2 = _sq_dists(points, centroids[0:1], p2)[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -111,7 +132,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, _sq_dists(points, centroids[j : j + 1])[:, 0])
+        d2 = np.minimum(d2, _sq_dists(points, centroids[j : j + 1], p2)[:, 0])
     return centroids
 
 
@@ -131,12 +152,12 @@ def train_kmeans(points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0)
         raise UsageError(f"k = {k} exceeds the number of points ({len(points)})")
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(points, k, rng)
+    columns = points.T.copy()
     labels = None
     history: list[float] = []
     for _ in range(max_iters):
-        d2 = _sq_dists(points, centroids)
-        new_labels = np.argmin(d2, axis=1)  # argmin takes the lowest id on ties
-        inertia = float(d2[np.arange(len(points)), new_labels].sum())
+        new_labels, nearest = _nearest(points, centroids)
+        inertia = float(nearest.sum())
         if history and inertia > history[-1] * (1.0 + 1e-12) + 1e-12:
             raise DataError(f"k-means inertia increased: {history[-1]} -> {inertia}")
         history.append(inertia)
@@ -144,17 +165,15 @@ def train_kmeans(points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0)
             break
         labels = new_labels
         counts = np.bincount(labels, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, points)
         nonempty = counts > 0
+        # Each cluster's coordinates summed from zero in row order, the sums
+        # of a scatter-add bit for bit (a pairwise reduceat is not).
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in columns], axis=1)
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-        empty = np.flatnonzero(~nonempty)
-        if len(empty):
-            assigned_d2 = d2[np.arange(len(points)), labels].copy()
-            for c in empty:
-                far = int(np.argmax(assigned_d2))
-                centroids[c] = points[far]
-                assigned_d2[far] = -1.0  # keep later empties from reusing it
+        for c in np.flatnonzero(~nonempty):
+            far = int(np.argmax(nearest))
+            centroids[c] = points[far]
+            nearest[far] = -1.0  # keep later empties from reusing it
     cb = Codebook(centroids.astype(np.float32), train_seed=seed)
     cb.inertia_history = history
     return cb
@@ -185,17 +204,13 @@ def train_codebook(
     return train_kmeans(points, n_c, max_iters=max_iters, seed=seed)
 
 
-def assign_all(repo: VectorSetRepository, cb: Codebook, chunk: int = 8192) -> ClusterAssignment:
+def assign_all(repo: VectorSetRepository, cb: Codebook) -> ClusterAssignment:
     """Map every vector to its nearest centroid by Euclidean distance,
     ties broken by the lowest centroid id."""
     if repo.dimension != cb.dimension:
         raise DataError(f"dimension mismatch: {repo.dimension} vs {cb.dimension}")
-    cents = cb.centroids64()
-    flat = np.empty(repo.total_vectors, dtype=np.int32)
-    for start in range(0, repo.total_vectors, chunk):
-        block = repo.matrix[start : start + chunk].astype(np.float64)
-        flat[start : start + len(block)] = np.argmin(_sq_dists(block, cents), axis=1)
-    return ClusterAssignment(flat, repo.offsets.copy())
+    labels, _ = _nearest(repo.matrix, cb.centroids64())
+    return ClusterAssignment(labels.astype(np.int32), repo.offsets.copy())
 
 
 def build_indexes(assignment: ClusterAssignment, n_c: int) -> Postings:

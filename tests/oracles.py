@@ -4,8 +4,10 @@ These deliberately avoid the production code paths: cardinality by plain
 augmenting paths, capacitated matching by exhaustive recursion over
 capacity states, a list-scan model of the double-ended queue, the
 stage-1 drain as a global max-heap popped one event at a time, the
-stage-1 postings built one centroid at a time, and ground truth as one
-exact matching per set with no bounds and no early stop.
+stage-1 postings built one centroid at a time, ground truth as one
+exact matching per set with no bounds and no early stop, k-means with
+full distance matrices and a scatter-add, and partition merging as a
+per-pair similarity cache over group objects.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import heapq
 import numpy as np
 
 from tusearch.matching import unionability
+from tusearch.partitions import PartitionGroup, PartitionIndex, PartitionSet, default_cascade_k, dispersion
+from tusearch.quantizer import Codebook, train_kmeans
 
 
 def kuhn_matching_cardinality(valid: np.ndarray) -> int:
@@ -185,6 +189,134 @@ def reference_postings(owner_lists, n_c: int):
         counts.append(n)
         ptr[cid + 1] = ptr[cid] + len(s)
     return ptr, np.concatenate(sets), np.concatenate(counts)
+
+
+def reference_kmeans(points: np.ndarray, k: int, max_iters: int, seed: int) -> tuple[np.ndarray, list[float]]:
+    """``train_kmeans`` with one full (n, k) distance matrix per step and
+    ``np.add.at`` for the cluster sums: the float32 centroids and the
+    inertia history."""
+    points = np.asarray(points, dtype=np.float64)
+
+    def sq_dists(cents):
+        p2 = np.einsum("ij,ij->i", points, points)
+        c2 = np.einsum("ij,ij->i", cents, cents)
+        return np.maximum(p2[:, None] - 2.0 * points @ cents.T + c2[None, :], 0.0)
+
+    rng = np.random.default_rng(seed)
+    n = len(points)
+    cents = np.empty((k, points.shape[1]))
+    cents[0] = points[int(rng.integers(n))]
+    d2 = sq_dists(cents[0:1])[:, 0]
+    for j in range(1, k):
+        total = d2.sum()
+        cents[j] = points[int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, sq_dists(cents[j : j + 1])[:, 0])
+    labels, history = None, []
+    for _ in range(max_iters):
+        d2 = sq_dists(cents)
+        new_labels = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), new_labels].sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros_like(cents)
+        np.add.at(sums, labels, points)
+        cents[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
+        assigned = d2[np.arange(n), labels].copy()
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(assigned))
+            cents[c] = points[far]
+            assigned[far] = -1.0
+    return cents.astype(np.float32), history
+
+
+def group_similarity(a: PartitionGroup, b: PartitionGroup, cb: Codebook) -> float:
+    """Maximum inner product over cross pairs of the two groups' codebook
+    centroids, one small product per call."""
+    cents = cb.centroids64()
+    mat_a = np.stack([cents[c] for c in a.centroid_ids])
+    mat_b = np.stack([cents[c] for c in b.centroid_ids])
+    return float((mat_a @ mat_b.T).max())
+
+
+def _reference_merge(groups: list[PartitionGroup], size: int, rho_high: float, cb: Codebook) -> list[PartitionGroup]:
+    """Pairwise merging by a dict of group-pair similarities, re-scanned in
+    sorted pair order after every merge; the merged group keeps the smaller
+    id and its similarity to every other group is computed afresh."""
+    alive = {g.group_id: g for g in groups}
+    gsim: dict[tuple[int, int], float] = {}
+    ids = sorted(alive)
+    for i, p in enumerate(ids):
+        for q in ids[i + 1 :]:
+            gsim[(p, q)] = group_similarity(alive[p], alive[q], cb)
+    while len(alive) / size >= rho_high and len(alive) > 1:
+        best_pair, best_sim = None, -np.inf
+        for pair in sorted(gsim):
+            if pair[0] in alive and pair[1] in alive and gsim[pair] > best_sim:
+                best_sim, best_pair = gsim[pair], pair
+        p, q = best_pair
+        merged = PartitionGroup(
+            p,
+            tuple(sorted(set(alive[p].centroid_ids) | set(alive[q].centroid_ids))),
+            np.sort(np.concatenate([alive[p].member_indices, alive[q].member_indices])),
+        )
+        del alive[q]
+        alive[p] = merged
+        for other in alive:
+            if other != p:
+                gsim[(min(other, p), max(other, p))] = group_similarity(merged, alive[other], cb)
+    return [alive[i] for i in sorted(alive)]
+
+
+def reference_partition_index(
+    repo, cb: Codebook, assignment, rho_low=0.2, rho_high=0.8, cascade_k=None, seed=0,
+    local_kmeans_iters=20, single_partition=False,
+) -> PartitionIndex:
+    """``build_partition_index`` one set and one group object at a time:
+    singleton groups from ``np.flatnonzero`` per owning centroid, the
+    per-pair merge above, and the cascade's local clusters kept in cluster
+    order, then ``PartitionIndex.pack``."""
+    if cascade_k is None:
+        cascade_k = default_cascade_k(rho_low, rho_high)
+    psets = []
+    for sid in range(repo.n_sets):
+        owners = assignment.set_owners(sid)
+        size = len(owners)
+        cascade = np.empty((0, repo.dimension), dtype=np.float32)
+        singletons = [
+            PartitionGroup(gid, (int(cid),), np.flatnonzero(owners == cid).astype(np.int32))
+            for gid, cid in enumerate(np.unique(owners))
+        ]
+        rho = dispersion(owners)
+        if single_partition:
+            groups = [PartitionGroup(0, tuple(int(c) for c in np.unique(owners)), np.arange(size, dtype=np.int32))]
+        elif rho <= rho_low:
+            vectors = repo.vectors_of(sid)
+            local = train_kmeans(
+                vectors.astype(np.float64), int(cascade_k(size)), max_iters=local_kmeans_iters,
+                seed=(seed * 1_000_003 + sid) & 0x7FFFFFFF,
+            )
+            cents = local.centroids64()
+            d2 = (
+                np.einsum("ij,ij->i", vectors, vectors)[:, None]
+                - 2.0 * vectors @ cents.T
+                + np.einsum("ij,ij->i", cents, cents)[None, :]
+            )
+            labels = np.argmin(d2, axis=1)
+            groups, rows = [], []
+            for j in range(local.n_c):
+                members = np.flatnonzero(labels == j).astype(np.int32)
+                if len(members):
+                    groups.append(PartitionGroup(len(groups), (cb.n_c + len(rows),), members))
+                    rows.append(local.centroids[j])
+            cascade = np.stack(rows).astype(np.float32)
+        elif rho >= rho_high:
+            groups = _reference_merge(singletons, size, rho_high, cb)
+        else:
+            groups = singletons
+        psets.append(PartitionSet(sid, groups, cascade))
+    return PartitionIndex.pack(psets, rho_low, rho_high)
 
 
 class NaiveDepqModel:

@@ -20,6 +20,7 @@ from tusearch.bundle import (
 )
 from tusearch.cli import main
 from tusearch.errors import DataError
+from tusearch.partitions import dispersion
 from tusearch.pipeline import SearchParams, build_engine
 from tusearch.repository import (
     QueryTable,
@@ -328,6 +329,41 @@ class TestCli:
         assert "capacity_equals_vectors\tTrue" in out
         assert "dispersion_hist" in out
         assert "n_c\t" in out
+
+    def test_build_and_inspect_report_phases_and_branch_mix(self, sources, tmp_path, capsys):
+        manifest, _, _ = sources
+
+        def fields(name, out):
+            return [f[1:] for f in (line.split("\t") for line in out.splitlines()) if f[0] == name]
+
+        def branch_mix():
+            return {name: int(n) for name, n in fields("partition_branch", capsys.readouterr().out)}
+
+        bundle = tmp_path / "b5"
+        assert main(["build", "--manifest", str(manifest), "--out", str(bundle), "--n-c", "4",
+                     "--rho-l", "0.3", "--rho-h", "0.7"]) == 0
+        out = capsys.readouterr().out
+        phases = {phase: float(s) for phase, s in fields("phase_seconds", out)}
+        (total,), = fields("build_seconds", out)
+        assert list(phases) == ["train", "assign", "postings", "partitions", "save"]
+        assert all(0 <= s <= float(total) for s in phases.values())
+        # perfbench's layout_counts rule: public dispersion, thresholds from build_config
+        engine = load_bundle(bundle)
+        lo, hi = engine.build_config["rho_low"], engine.build_config["rho_high"]
+        want = {"merge": 0, "plain": 0, "cascade": 0}
+        for sid in range(engine.repo.n_sets):
+            rho = dispersion(engine.assignment.set_owners(sid))
+            want["cascade" if rho <= lo else "merge" if rho >= hi else "plain"] += 1
+        assert min(want.values()) > 0 and sum(want.values()) == engine.repo.n_sets
+        assert {name: int(n) for name, n in fields("partition_branch", out)} == want
+        assert main(["inspect", "--bundle", str(bundle)]) == 0
+        assert branch_mix() == want
+
+        single = {"single": engine.repo.n_sets}
+        assert main(["build", "--manifest", str(manifest), "--out", str(tmp_path / "b6"), "--single-partition"]) == 0
+        assert branch_mix() == single
+        assert main(["inspect", "--bundle", str(tmp_path / "b6")]) == 0
+        assert branch_mix() == single
 
     def test_bench_cli_round_trip(self, tmp_path, capsys):
         config_path = tmp_path / "bench.json"

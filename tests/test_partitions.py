@@ -1,16 +1,19 @@
 """Dispersion-driven partitioning: merge, keep, and local-split branches."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_unit_rows
-from tusearch.errors import UsageError
+from oracles import group_similarity, random_unit_rows, reference_partition_index
+from tusearch.errors import DataError, UsageError
 from tusearch.partitions import (
     PartitionGroup,
     build_partition_index,
     default_cascade_k,
     dispersion,
-    group_similarity,
 )
 from tusearch.quantizer import ClusterAssignment, Codebook, train_kmeans
 from tusearch.repository import VectorSetRepository
@@ -38,6 +41,9 @@ class TestDispersion:
 
 
 class TestGroupSimilarity:
+    """The oracle's pairwise similarity, the quantity single linkage reads
+    from the Gram matrix."""
+
     def cb(self):
         cents = np.array(
             [[1.0, 0.0, 0.0], [0.2, 0.0, 0.0], [0.2, 0.1, 0.0], [0.7, 0.1, 0.0]],
@@ -200,3 +206,82 @@ class TestBuildPartitionIndex:
                 assert len(pset.groups) == len(np.unique(owners))
             elif rho >= 0.75:
                 assert len(pset.groups) / len(owners) < 0.75 or len(pset.groups) == 1
+
+
+PARTITION_FIELDS = ("group_ptr", "cascade_ptr", "cid_ptr", "member_ptr", "centroid_ids", "members", "cascade")
+
+
+def random_owner_lists(rng, n_c):
+    """Sets of size 1 and sets drawn to land on each dispersion branch."""
+    lists = []
+    for _ in range(int(rng.integers(1, 14))):
+        size = int(rng.integers(1, 13))
+        style = int(rng.integers(4))
+        if style == 0:  # concentrated
+            lists.append(np.full(size, int(rng.integers(n_c))))
+        elif style == 1:  # dispersed
+            lists.append(rng.permutation(n_c)[: min(size, n_c)])
+        elif style == 2:  # mixed
+            lists.append(rng.integers(0, min(n_c, max(2, size // 2)), size))
+        else:
+            lists.append(np.array([int(rng.integers(n_c))]))
+    return lists
+
+
+class TestBuildEqualsReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.booleans(),
+        rho_high=st.floats(0.1, 1.0),
+        low_share=st.floats(0.05, 0.95),
+        single=st.sampled_from([False, False, False, True]),
+    )
+    def test_arrays_equal_the_per_pair_merge(self, seed, grid, rho_high, low_share, single):
+        """Quarter-grid centroids, some rows duplicated, make every inner
+        product exact, so equal similarities tie exactly and the
+        lowest-(id, id) rule decides; random unit centroids are the other
+        codebook."""
+        rng = np.random.default_rng(seed)
+        n_c, d = int(rng.integers(2, 14)), 4
+        if grid:
+            cents = rng.integers(-4, 5, size=(n_c, d)) / 4.0
+            cents[rng.integers(n_c, size=n_c // 2)] = cents[rng.integers(n_c, size=n_c // 2)]
+        else:
+            cents = random_unit_rows(rng, n_c, d)
+        cb = Codebook(cents, train_seed=0)
+        repo, assignment = repo_with_owners(rng, random_owner_lists(rng, n_c), d=d)
+        kwargs = dict(rho_low=rho_high * low_share, rho_high=rho_high, seed=seed % 1000, single_partition=single)
+        got = build_partition_index(repo, cb, assignment, **kwargs)
+        want = reference_partition_index(repo, cb, assignment, **kwargs)
+        for name in PARTITION_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+        assert (got.rho_low, got.rho_high) == (want.rho_low, want.rho_high)
+
+
+class TestValidate:
+    def index(self):
+        rng = np.random.default_rng(10)
+        repo, assignment = repo_with_owners(rng, [np.array([3, 3, 7, 7, 9, 9, 9, 9]), np.array([1, 2, 2])])
+        cb = Codebook(random_unit_rows(rng, 12, 6), train_seed=0)
+        return build_partition_index(repo, cb, assignment, rho_low=0.2, rho_high=0.9), repo.offsets
+
+    def test_built_index_passes(self):
+        pindex, offsets = self.index()
+        pindex.validate(offsets)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"members": [0, 0, 2, 3, 4, 5, 6, 7, 0, 1, 2]}, "groups of set 0 do not partition its vectors"),
+        ({"members": [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 1]}, "groups of set 1 do not partition its vectors"),
+        ({"members": [0, 1, 2, 3, 4, 5, 6, -1, 0, 1, 2]}, "groups of set 0 do not partition its vectors"),
+        ({"members": [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 3]}, "groups of set 1 do not partition its vectors"),
+        ({"cid_ptr": [0, 1, 1, 3, 4, 5]}, "empty group in set 0"),
+        ({"member_ptr": [0, 2, 4, 8, 11, 11]}, "empty group in set 1"),
+    ])
+    def test_damaged_index_is_a_data_error(self, change, message):
+        pindex, offsets = self.index()
+        assert pindex.group_ptr.tolist() == [0, 3, 5]
+        damaged = dataclasses.replace(pindex, **{k: np.array(v, dtype=np.int32) for k, v in change.items()})
+        with pytest.raises(DataError, match=message):
+            damaged.validate(offsets)

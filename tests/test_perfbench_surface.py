@@ -34,6 +34,21 @@ def perfbench_hooks() -> list[tuple[str, str, str]]:
     raise AssertionError(f"{RUN} assigns no HOOKS list")
 
 
+def count_calls(monkeypatch, hooked) -> dict[str, int]:
+    """Wrap each ``(module, name)`` function on its module with a counter;
+    the returned dict counts the calls by name."""
+    calls = {name: 0 for _, name in hooked}
+    for module, name in hooked:
+        inner = getattr(module, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def engine():
     return build_engine(generate_synthetic(60, (3, 8), 12, 6, 0.2, seed=41).repository, n_c=8, seed=1)
@@ -57,17 +72,8 @@ def test_traced_refine_fills_what_perfbench_reads(engine):
 def test_stage_one_hooks_run_once_per_search(engine, monkeypatch):
     """perfbench requires one stage-1 span, two ``pruning.run`` spans (stages
     2 and 3) and at least one ``matching.exact`` span in every traced search."""
-    hooked = [(pipeline, "refine"), (pipeline, "top_centroids"), (pipeline, "run_pruner"),
-              (matching, "unionability")]
-    calls = {name: 0 for _, name in hooked}
-    for module, name in hooked:
-        inner = getattr(module, name)
-
-        def counted(*args, _inner=inner, _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
+    calls = count_calls(monkeypatch, [(pipeline, "refine"), (pipeline, "top_centroids"),
+                                      (pipeline, "run_pruner"), (matching, "unionability")])
     for pruner in ("bf", "base", "enhanced"):
         calls.update(dict.fromkeys(calls, 0))
         engine.search(QueryTable(engine.repo.vectors_of(5)), SearchParams(k=5, phi_c=4, pruner=pruner))
@@ -103,3 +109,15 @@ def test_only_a_build_enters_the_hooked_build_indexes(monkeypatch, tmp_path):
     assert len(calls) == 1
     load_bundle(save_bundle(tmp_path / "b", built))
     assert len(calls) == 1
+
+
+def test_one_build_enters_each_build_hook_once(monkeypatch):
+    """perfbench requires one span of each build layer per build, and
+    ``build_engine`` must look each function up on its module at call time
+    for the span to see it."""
+    spans = ("quantizer.train", "quantizer.assign", "quantizer.index", "partitions.build")
+    hooked = [(importlib.import_module(module), attr) for module, attr, span in perfbench_hooks() if span in spans]
+    assert [name for _, name in hooked] == ["train_codebook", "assign_all", "build_indexes", "build_partition_index"]
+    calls = count_calls(monkeypatch, hooked)
+    build_engine(generate_synthetic(30, (3, 6), 8, 5, 0.2, seed=43).repository, n_c=6, seed=1)
+    assert calls == dict.fromkeys(calls, 1)

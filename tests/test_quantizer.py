@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_postings
+from oracles import reference_kmeans, reference_postings
 from tusearch.errors import UsageError
 from tusearch.quantizer import (
+    NEAREST_BLOCK,
     TRAIN_POINTS_PER_CENTROID,
     ClusterAssignment,
     Codebook,
@@ -43,6 +44,23 @@ class TestCodebook:
 
 
 class TestTrainKmeans:
+    @pytest.mark.parametrize("seed, duplicated", [(0, False), (1, False), (2, True)])
+    def test_equals_the_full_matrix_reference(self, seed, duplicated):
+        """Blocked distances and per-coordinate ``bincount`` sums give the
+        bits of one full distance matrix and a scatter-add.  Six distinct
+        integer points leave clusters empty, so the re-seeding runs too;
+        their distances are exact, so the inertia is exactly 0."""
+        rng = np.random.default_rng(seed)
+        n = 2 * NEAREST_BLOCK + 300
+        if duplicated:
+            points = np.repeat(rng.integers(-3, 4, size=(6, 8)), -(-n // 6), axis=0)[:n].astype(np.float64)
+        else:
+            points = rng.standard_normal((n, 8))
+        cb = train_kmeans(points, 24, seed=seed)
+        centroids, history = reference_kmeans(points, 24, 25, seed)
+        assert np.array_equal(cb.centroids, centroids)
+        assert cb.inertia_history == history
+
     def test_two_separated_pairs(self):
         # Analytic optimum: one centroid per pair at the pair mean.  Verified
         # independently by enumerating every 2-partition of the four points.
