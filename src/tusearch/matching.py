@@ -7,6 +7,11 @@ valid edge weight by a constant W larger than the sum of all edge weights,
 so one extra matched pair always outweighs any possible weight change;
 the solver then only has to maximize the shifted total.
 
+``row_best`` forms, for many tables laid side by side and with no loop
+per row or per table, the matching in which every row takes its best
+column while that column has room: a lower bound on the exact score of
+each table, and the exact optimum of each table where no column ran out
+of room.  Both search stages read their lower bounds from it.
 ``set_bounds`` brackets the exact score of a query against many sets of a
 repository at once, from one product over the sets' gathered rows, and
 ``exact_topk`` verifies sets in descending upper bound until no unverified
@@ -83,24 +88,101 @@ def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
 
 
-def matching_floors(sims: np.ndarray, valid: np.ndarray, capacities, starts):
-    """For tables laid side by side in ``sims`` (0 below tau), table t from
-    column ``starts[t]``, each column usable ``capacities`` times: an
-    ``n_rows x n_tables`` array whose row c sums the c + 1 smallest per-row
-    minimum valid entries (infinite where fewer rows have one), which any
-    matching of more than c rows outweighs; and per table the most rows a
-    matching can take, min(rows with a valid entry, sum of min(capacity,
-    reach))."""
-    row_min = np.minimum.reduceat(np.where(valid, sims, np.inf), starts, axis=1)
-    reach = np.add.reduceat(np.minimum(capacities, valid.sum(axis=0)), starts)
-    most = np.minimum(np.isfinite(row_min).sum(axis=0), reach)
-    return np.sort(row_min, axis=0).cumsum(axis=0), most
+def matching_floors(row_min: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per table, a column of ``row_min`` (each row's smallest valid entry,
+    infinite where it has none): the sum of its ``counts + 1`` smallest row
+    minima, which any matching of more than ``counts`` rows weighs at
+    least."""
+    return np.sort(row_min, axis=0).cumsum(axis=0)[counts, np.arange(row_min.shape[1])]
+
+
+@dataclass(frozen=True)
+class RowBest:
+    """``row_best``'s matching, per table of its layout (per row and table
+    for the two matrices)."""
+
+    row_max: np.ndarray  # n_rows x n_tables, each row's largest valid entry, 0 where it has none
+    choice: np.ndarray  # n_rows x n_tables, the column a row keeps within its table, -1 if none
+    weight: np.ndarray  # the kept entries summed in row order
+    count: np.ndarray  # the rows kept
+    fit: np.ndarray  # no proposal was turned away
+    lb: np.ndarray  # lower bound on the exact score
+
+
+def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts) -> RowBest:
+    """The row-best matching of tables laid side by side in ``sims``, table
+    t from column ``starts[t]``, each column usable ``capacities`` times.
+
+    In each table every row proposes its first-best valid column, and each
+    column keeps its first ``capacities`` proposers in row order.  One pass
+    lists the valid entries; everything after it works on those entries,
+    with no loop per row or per table.  The result is feasible, so its
+    weight W of cardinality c bounds the exact score from below once c is
+    ``most``, the most rows a matching can take: min(rows with a valid
+    entry, sum of min(capacity, reach)).  Below ``most`` the exact score's
+    larger matching weighs at least ``matching_floors``, and the bound is
+    the smaller of the two.  A table that turned no proposal away (``fit``)
+    matched every row that has a valid entry at its maximum: that is the
+    exact optimum, and W, summed in row order, is the assignment solver's
+    weight.
+    """
+    n_rows, n_cols = sims.shape
+    starts = np.asarray(starts, dtype=np.int64)
+    n_tables = len(starts)
+    owner = np.repeat(np.arange(n_tables), np.diff(starts, append=n_cols))
+    # The valid entries in row-major order: those of one (row, table) pair
+    # are consecutive and in column order.
+    flat = np.flatnonzero(valid)
+    vals = sims.ravel()[flat]
+    rows, cols = np.divmod(flat, n_cols)
+    tables = owner[cols]
+    new_pair = np.ones(len(flat), dtype=bool)
+    new_pair[1:] = (rows[1:] != rows[:-1]) | (tables[1:] != tables[:-1])
+    pair_of = np.cumsum(new_pair) - 1
+    head = np.flatnonzero(new_pair)
+    pair_max = np.maximum.reduceat(vals, head)
+    pair_row, pair_table = rows[head], tables[head]
+    row_max = np.zeros((n_rows, n_tables))
+    row_max[pair_row, pair_table] = pair_max
+
+    # each pair proposes its first column at the maximum
+    at_max = np.flatnonzero(vals == pair_max[pair_of])
+    proposed = cols[at_max[np.diff(pair_of[at_max], prepend=-1) > 0]]
+    # each proposal's rank among its column's proposals, in row order
+    order = np.argsort(proposed, kind="stable")
+    by_col = proposed[order]
+    pos = np.arange(len(order))
+    run = np.ones(len(order), dtype=bool)
+    run[1:] = by_col[1:] != by_col[:-1]
+    rank = pos - np.maximum.accumulate(np.where(run, pos, 0))
+    caps = np.broadcast_to(capacities, n_cols)
+    kept = np.empty(len(order), dtype=bool)
+    kept[order] = rank < caps[by_col]
+
+    kept_row, kept_table = pair_row[kept], pair_table[kept]
+    choice = np.full((n_rows, n_tables), -1, dtype=np.int64)
+    choice[kept_row, kept_table] = proposed[kept] - starts[kept_table]
+    taken = np.zeros((n_rows, n_tables))
+    taken[kept_row, kept_table] = pair_max[kept]
+    # cumsum adds down each column in row order; a column sum may not
+    weight = np.cumsum(taken, axis=0)[-1] if n_rows else np.zeros(n_tables)
+    count = np.bincount(kept_table, minlength=n_tables)
+    fit = np.bincount(pair_table[~kept], minlength=n_tables) == 0
+
+    reach = np.add.reduceat(np.minimum(caps, np.bincount(cols, minlength=n_cols)), starts)
+    most = np.minimum(np.bincount(pair_table, minlength=n_tables), reach)
+    lb = weight.copy()
+    short = np.flatnonzero(count < most)
+    if len(short):
+        row_min = np.full((n_rows, n_tables), np.inf)
+        row_min[pair_row, pair_table] = np.minimum.reduceat(vals, head)
+        lb[short] = np.minimum(weight[short], matching_floors(row_min[:, short], count[short]))
+    return RowBest(row_max, choice, weight, count, fit, lb)
 
 
 def _bounded_product(q_mat: np.ndarray, repo, sids: np.ndarray, tau: float):
     """The query's product with the listed sets' gathered rows, 0 below tau;
-    its valid mask; each set's first column in it; and each set's upper
-    bound, the smaller of the row-max and column-max sums."""
+    its valid mask; and each set's first column in it."""
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
     start = repo.offsets[sids]
@@ -109,11 +191,12 @@ def _bounded_product(q_mat: np.ndarray, repo, sids: np.ndarray, tau: float):
     sims = _sim_matrix(np.asarray(q_mat), repo.matrix[ranges(start, sizes)])
     valid = sims >= tau
     sims[~valid] = 0.0
-    ub = np.minimum(
-        np.maximum.reduceat(sims, seg, axis=1).sum(axis=0),
-        np.add.reduceat(sims.max(axis=0), seg),
-    )
-    return sims, valid, seg, ub
+    return sims, valid, seg
+
+
+def _upper_bounds(sims: np.ndarray, seg: np.ndarray, row_max: np.ndarray) -> np.ndarray:
+    """Each set's smaller of the row-max and column-max sums."""
+    return np.minimum(row_max.sum(axis=0), np.add.reduceat(sims.max(axis=0), seg))
 
 
 def set_bounds(q_mat: np.ndarray, repo, set_ids, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -121,37 +204,18 @@ def set_bounds(q_mat: np.ndarray, repo, set_ids, tau: float) -> tuple[np.ndarray
     listed set of ``repo``, from one product over the sets' gathered rows.
 
     The upper bound is the smaller of the row-max and column-max sums over
-    the entries that clear tau.  The lower bound is the weight of a greedy
-    matching (each query column in input order takes its most similar free
-    set column, ties to the lower column), capped by ``matching_floors``
-    when it matches fewer columns than the exact, largest matching does.
+    the entries that clear tau.  The lower bound is ``row_best``'s with
+    every set column usable once.
     """
     sids = np.asarray(set_ids, dtype=np.int64)
     if len(sids) == 0:
         return np.zeros(0), np.zeros(0)
     if sids.min() < 0 or sids.max() >= repo.n_sets:
         raise DataError(f"unknown set_id in {sids.tolist()} (repository has {repo.n_sets} sets)")
-    sims, valid, seg, ub = _bounded_product(q_mat, repo, sids, tau)
-    owner = np.repeat(np.arange(len(sids)), np.diff(seg, append=sims.shape[1]))
-    floors, most = matching_floors(sims, valid, 1, seg)
-
-    weight = np.zeros(len(sids))
-    card = np.zeros(len(sids), dtype=np.int64)
-    for i in np.flatnonzero(valid.any(axis=1)).tolist():
-        row = sims[i]  # a taken column reads 0 in every row
-        best = np.maximum.reduceat(row, seg)
-        hits = np.flatnonzero((row == best[owner]) & (row > 0.0))
-        sets = owner[hits]
-        first = np.ones(len(sets), dtype=bool)  # keep a set's lowest tied column
-        first[1:] = sets[1:] != sets[:-1]
-        taken, sets = hits[first], sets[first]
-        weight[sets] += row[taken]
-        card[sets] += 1
-        sims[:, taken] = 0.0
-
-    floor = floors[np.minimum(card, len(sims) - 1), np.arange(len(sids))]
-    lb = np.where(card == most, weight, np.minimum(weight, floor))
-    return np.minimum(lb, ub), ub
+    sims, valid, seg = _bounded_product(q_mat, repo, sids, tau)
+    best = row_best(sims, valid, 1, seg)
+    ub = _upper_bounds(sims, seg, best.row_max)
+    return np.minimum(best.lb, ub), ub
 
 
 def exact_topk(q_mat: np.ndarray, repo, tau: float, k: int) -> list[tuple[int, float, int]]:
@@ -162,7 +226,8 @@ def exact_topk(q_mat: np.ndarray, repo, tau: float, k: int) -> list[tuple[int, f
     ``BOUND_SLACK``), so the result is that of scoring every set."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    *_, ub = _bounded_product(q_mat, repo, np.arange(repo.n_sets), tau)
+    sims, _, seg = _bounded_product(q_mat, repo, np.arange(repo.n_sets), tau)
+    ub = _upper_bounds(sims, seg, np.maximum.reduceat(sims, seg, axis=1))
     k = min(k, repo.n_sets)
     scored = []
     best: list[float] = []  # min-heap of the k largest weights so far

@@ -11,17 +11,19 @@ matrix with the codebook rows followed by every set's cascade rows, and
 per set the span of its group-centroid row ids, its group starts and its
 group capacities.  ``partition_sims`` then builds the tables of all of a
 search's candidates from one product over their gathered rows and one
-``np.maximum.reduceat`` over the group starts.
+``np.maximum.reduceat`` over the group starts, and runs
+``matching.row_best`` once over all of them: every query vector proposes
+its best group, and each group keeps its first ``capacity`` proposers.
 
-The exact score reuses the shifted-weight assignment reduction from
-``matching`` with each group expanded into identical columns, as many as
-it can be used: its capacity, or the number of query vectors that reach
-it if fewer.  The lower bound is a greedy capacity-respecting assignment
-(query vectors in input order, each taking its best group with remaining
-capacity), capped where it matches fewer query vectors than the exact
-score does; the upper bound pools every thresholded entry and sums the
-largest ``min(n_query, set_size)`` of them, ignoring all pairing
-constraints.
+The lower bound is that row-best matching's weight, capped by
+``matching.matching_floors`` where it takes fewer query vectors than a
+matching can; the upper bound sums the largest ``min(n_query,
+set_size)`` row maxima.  A table whose groups turned no proposal away
+has the row-best matching as its exact optimum.  Any other table's exact
+score reuses the shifted-weight assignment reduction from ``matching``
+with each group expanded into identical columns, as many as it can be
+used: its capacity, or the number of query vectors that reach it if
+fewer.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, UsageError
-from .matching import MatchingResult, matching_floors, ranges, solve_shifted_assignment
+from .matching import MatchingResult, ranges, row_best, solve_shifted_assignment
 from .partitions import PartitionIndex
 from .quantizer import Codebook
 
@@ -50,31 +52,25 @@ class PartitionSimTable:
     """Thresholded similarities of every query vector to every group of one
     set: ``sims`` is ``n_query x n_groups`` float64 holding 0 below tau,
     ``valid`` marks the entries that clear tau, and ``capacities`` holds
-    each group's vector count.  ``floors`` and ``most`` are the table's
-    ``matching.matching_floors``, which ``bounds_for_mwmto`` reads.
+    each group's vector count.  ``choice`` (each query vector's group, -1
+    for none), ``weight``, ``count`` and ``fit`` are the table's
+    ``matching.row_best`` matching; ``lb`` and ``ub`` are the bounds
+    ``bounds_for_mwmto`` returns.
 
     The constructor takes per query vector the (group_id, similarity)
     entries clearing tau; ``partition_sims`` builds the dense form directly.
     """
 
     def __init__(self, rows: list[list[tuple[int, float]]], capacities):
-        self.capacities = np.asarray(capacities, dtype=np.int64)
-        self.sims = np.zeros((len(rows), len(self.capacities)))
-        self.valid = np.zeros(self.sims.shape, dtype=bool)
+        capacities = np.asarray(capacities, dtype=np.int64)
+        sims = np.zeros((len(rows), len(capacities)))
+        valid = np.zeros(sims.shape, dtype=bool)
         for qi, row in enumerate(rows):
             for gid, s in row:
-                self.sims[qi, gid] = s
-                self.valid[qi, gid] = True
-        floors, most = matching_floors(self.sims, self.valid, self.capacities, [0])
-        self.floors, self.most = floors[:, 0], int(most[0])
-
-    @classmethod
-    def dense(cls, sims, valid, capacities, floors, most: int) -> "PartitionSimTable":
-        """Wrap the arrays as they are, without copying."""
-        table = cls.__new__(cls)
-        table.sims, table.valid, table.capacities = sims, valid, capacities
-        table.floors, table.most = floors, most
-        return table
+                sims[qi, gid] = s
+                valid[qi, gid] = True
+        (table,) = _side_by_side(sims, valid, capacities, [0])
+        vars(self).update(vars(table))
 
     @property
     def n_query(self) -> int:
@@ -83,6 +79,30 @@ class PartitionSimTable:
     @property
     def set_size(self) -> int:
         return int(self.capacities.sum())
+
+
+def _side_by_side(sims, valid, capacities, starts) -> list[PartitionSimTable]:
+    """The tables laid side by side in ``sims``, table t from column
+    ``starts[t]``, as views that carry their row-best matching and bounds."""
+    starts = np.asarray(starts, dtype=np.int64)
+    best = row_best(sims, valid, capacities, starts)
+    # the largest min(n_query, set_size) row maxima, summed in descending order
+    pooled = np.zeros((len(sims) + 1, len(starts)))
+    np.cumsum(np.sort(best.row_max, axis=0)[::-1], axis=0, out=pooled[1:])
+    take = np.minimum(len(sims), np.add.reduceat(capacities, starts))
+    ub = pooled[take, np.arange(len(starts))]
+    ends = np.append(starts[1:], sims.shape[1])
+    tables = []
+    for t, (a, b, weight, count, fit, low, high) in enumerate(zip(
+        starts.tolist(), ends.tolist(), best.weight.tolist(), best.count.tolist(),
+        best.fit.tolist(), best.lb.tolist(), ub.tolist(),
+    )):
+        table = PartitionSimTable.__new__(PartitionSimTable)
+        table.sims, table.valid, table.capacities = sims[:, a:b], valid[:, a:b], capacities[a:b]
+        table.choice = best.choice[:, t]
+        table.weight, table.count, table.fit, table.lb, table.ub = weight, count, fit, low, high
+        tables.append(table)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -126,6 +146,7 @@ class MwmtoResult:
     score: float
     cardinality: int
     assignment: dict[int, int]  # query index -> group id
+    row_best: bool = False  # taken from the row-best matching, with no solver call
 
 
 def partition_sims(
@@ -133,7 +154,8 @@ def partition_sims(
 ) -> dict[int, PartitionSimTable]:
     """Thresholded max-over-group-centroid similarities of every query
     vector to every group of each listed set, from one product over the
-    sets' gathered group-centroid rows."""
+    sets' gathered group-centroid rows, with each table's row-best matching
+    and bounds from one pass over all of them."""
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
     sids = np.asarray(set_ids, dtype=np.int64)
@@ -151,25 +173,26 @@ def partition_sims(
     sims = np.maximum.reduceat(sims, layout.group_start[groups] - moved, axis=1)
     valid = sims >= tau
     sims[~valid] = 0.0
-    caps = layout.capacities[groups]
-    ends = np.cumsum(n_groups).tolist()
-    starts = [0] + ends[:-1]
-    floors, most = matching_floors(sims, valid, caps, starts)
-    return {
-        sid: PartitionSimTable.dense(sims[:, a:b], valid[:, a:b], caps[a:b], floors[:, t], m)
-        for t, (sid, a, b, m) in enumerate(zip(sids.tolist(), starts, ends, most.tolist()))
-    }
+    tables = _side_by_side(sims, valid, layout.capacities[groups], np.cumsum(n_groups) - n_groups)
+    return dict(zip(sids.tolist(), tables))
 
 
 def mwmto_exact(table: PartitionSimTable) -> MwmtoResult:
     """Maximum-cardinality-then-maximum-weight capacity-respecting assignment.
 
-    Each group is expanded into ``min(capacity, reach)`` identical columns,
-    ``reach`` being the number of query vectors with a valid entry in it,
-    and the expanded problem is solved exactly.  No assignment can use a
-    group more often, so the optimum is that of the full expansion; groups
-    that no query vector reaches drop out.
+    A table whose row-best matching is ``fit`` returns it: every query
+    vector with a valid entry takes its best group, which no assignment
+    beats in cardinality or weight.  Otherwise each group is expanded into
+    ``min(capacity, reach)`` identical columns, ``reach`` being the number
+    of query vectors with a valid entry in it, and the expanded problem is
+    solved exactly.  No assignment can use a group more often, so the
+    optimum is that of the full expansion; groups that no query vector
+    reaches drop out.
     """
+    if table.fit:
+        rows = np.flatnonzero(table.choice >= 0)
+        assignment = dict(zip(rows.tolist(), table.choice[rows].tolist()))
+        return MwmtoResult(table.weight, table.count, assignment, row_best=True)
     copies = np.minimum(table.capacities, table.valid.sum(axis=0))
     col_group = np.repeat(np.arange(len(copies)), copies)
     if len(col_group) == 0:
@@ -181,41 +204,10 @@ def mwmto_exact(table: PartitionSimTable) -> MwmtoResult:
     return MwmtoResult(res.weight, res.cardinality, assignment)
 
 
-def greedy_lower_bound(table: PartitionSimTable) -> tuple[float, dict[int, int]]:
-    """Greedy capacity-respecting assignment: query vectors in input order,
-    each takes its highest-similarity group with remaining capacity
-    (similarity ties go to the lower group id).  The valid entries are
-    ordered once by (query, -similarity, group) and walked once."""
-    qi, gid = np.nonzero(table.valid)
-    sim = table.sims[qi, gid]
-    order = np.lexsort((gid, -sim, qi))
-    remaining = table.capacities.tolist()
-    lb = 0.0
-    taken: dict[int, int] = {}
-    last = -1  # the last query that took a group
-    for q, g, s in zip(qi[order].tolist(), gid[order].tolist(), sim[order].tolist()):
-        if q != last and remaining[g] > 0:
-            lb += s
-            remaining[g] -= 1
-            taken[q] = g
-            last = q
-    return lb, taken
-
-
 def bounds_for_mwmto(table: PartitionSimTable) -> BoundPair:
-    """Sandwiching estimates around the exact capacitated score.
-
-    The lower bound is the greedy weight, capped by the table's ``floors``
-    when the greedy assignment takes fewer query vectors than ``most``, as
-    the exact score's assignment of the largest cardinality then does.  The
-    upper bound caps the number of summed entries at
-    ``min(n_query, set_size)`` where set_size counts the set's vectors, not
-    the threshold-reachable capacity.
-    """
-    lb, taken = greedy_lower_bound(table)
-    if len(taken) < table.most:
-        lb = min(lb, float(table.floors[len(taken)]))
-    pool = np.sort(table.sims[table.valid])[::-1]
-    take = min(table.n_query, table.set_size)
-    ub = float(sum(pool[:take].tolist()))
-    return BoundPair(lb, ub)
+    """Sandwiching estimates around the exact capacitated score: the
+    table's row-best lower bound and the sum of its largest ``min(n_query,
+    set_size)`` row maxima, where set_size counts the set's vectors, not
+    the threshold-reachable capacity.  Both come from ``partition_sims``'s
+    one pass over all tables (or the constructor's over one)."""
+    return BoundPair(table.lb, table.ub)

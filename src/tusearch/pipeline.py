@@ -5,11 +5,13 @@ Stage 1 takes every query column's top ``phi_c`` centroids from one exact
 flat scan of the codebook and ranks sets by accumulated centroid
 similarities.  Stage 2 keeps the top phi_r of them by the exact
 capacitated many-to-one score against each set's partitions, pruning with
-the greedy/pooled bounds; one product over the engine's flat partition
-layout gives the similarity tables of all stage-1 candidates.  Stage 3
-scores each survivor with the exact thresholded matching against all of
-the set's vectors, pruning with the bounds of ``matching.set_bounds``: one
-product of the query with every survivor's rows gives all of them.
+the row-best bounds; one product over the engine's flat partition layout
+gives the similarity tables of all stage-1 candidates, and one row-best
+pass over them gives their bounds and, where every query column's best
+group has room, their exact scores.  Stage 3 scores each survivor with
+the exact thresholded matching against all of the set's vectors, pruning
+with the bounds of ``matching.set_bounds``: one product of the query with
+every survivor's rows gives all of them.
 Queries are independent; every search call builds its own scratch state,
 so one engine serves many threads.
 """
@@ -91,6 +93,7 @@ class SearchDiagnostics:
     result_count: int = 0
     filter_score_calls: int = 0
     filter_bound_calls: int = 0
+    filter_row_best_scores: int = 0  # stage-2 exact scores taken without an assignment solve
     scoring_score_calls: int = 0
     scoring_bound_calls: int = 0
     depq_ops: int = 0
@@ -106,6 +109,7 @@ class SearchDiagnostics:
             f"ms={1e3 * self.stage_seconds.get('refine', 0.0):.3f}",
             f"stage=filter candidates={self.filter_candidates} "
             f"score_calls={self.filter_score_calls} bound_calls={self.filter_bound_calls} "
+            f"row_best_scores={self.filter_row_best_scores} "
             f"ms={1e3 * self.stage_seconds.get('filter', 0.0):.3f}",
             f"stage=score results={self.result_count} "
             f"score_calls={self.scoring_score_calls} bound_calls={self.scoring_bound_calls} "
@@ -219,12 +223,18 @@ class SearchEngine:
         diag.stage_seconds["refine"] = t1 - t0
 
         tables = partition_sims(state.q64, self.partition_layout, stage1_ids, tau)
+
+        def filter_score(sid: int) -> float:
+            res = mwmto_exact(tables[sid])
+            diag.filter_row_best_scores += res.row_best
+            return res.score
+
         ranked2, stats2 = run_pruner(
             resolved.pruner,
             stage1_ids,
             resolved.phi_r,
             lambda sid: _pair(bounds_for_mwmto(tables[sid])),
-            lambda sid: mwmto_exact(tables[sid]).score,
+            filter_score,
         )
         diag.filter_candidates = len(ranked2)
         diag.filter_score_calls = stats2.score_calls

@@ -140,8 +140,8 @@ def train_kmeans(points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0)
     """Lloyd's algorithm with k-means++ initialization.
 
     Stops at ``max_iters`` or when no assignment changes.  Inertia is checked
-    to be non-increasing across iterations.  Deterministic given
-    (points, k, max_iters, seed).
+    to be non-increasing across iterations, up to the rounding of the
+    distance formula.  Deterministic given (points, k, max_iters, seed).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
@@ -155,10 +155,13 @@ def train_kmeans(points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0)
     columns = points.T.copy()
     labels = None
     history: list[float] = []
+    # p2 - 2 p.c + c2 rounds each distance by a few ulps of the squared
+    # norms, and clamping at 0 keeps that noise from cancelling in the sum.
+    noise = 8.0 * float(np.spacing(np.vdot(points, points)))
     for _ in range(max_iters):
         new_labels, nearest = _nearest(points, centroids)
         inertia = float(nearest.sum())
-        if history and inertia > history[-1] * (1.0 + 1e-12) + 1e-12:
+        if history and inertia > history[-1] * (1.0 + 1e-12) + noise:
             raise DataError(f"k-means inertia increased: {history[-1]} -> {inertia}")
         history.append(inertia)
         if labels is not None and np.array_equal(new_labels, labels):

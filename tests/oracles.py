@@ -2,12 +2,12 @@
 
 These deliberately avoid the production code paths: cardinality by plain
 augmenting paths, capacitated matching by exhaustive recursion over
-capacity states, a list-scan model of the double-ended queue, the
-stage-1 drain as a global max-heap popped one event at a time, the
-stage-1 postings built one centroid at a time, ground truth as one
-exact matching per set with no bounds and no early stop, k-means with
-full distance matrices and a scatter-add, and partition merging as a
-per-pair similarity cache over group objects.
+capacity states, the row-best matching one row at a time, a list-scan
+model of the double-ended queue, the stage-1 drain as a global max-heap
+popped one event at a time, the stage-1 postings built one centroid at a
+time, ground truth as one exact matching per set with no bounds and no
+early stop, k-means with full distance matrices and a scatter-add, and
+partition merging as a per-pair similarity cache over group objects.
 """
 
 from __future__ import annotations
@@ -115,22 +115,41 @@ def reference_partition_sims(q_mat, pset, cb, tau: float) -> list[list[tuple[int
     return rows
 
 
-def reference_greedy_lower_bound(
+def reference_row_best(
     rows: list[list[tuple[int, float]]], capacities: list[int]
-) -> tuple[float, dict[int, int]]:
-    """Query vectors in input order, each taking its highest-similarity
-    group with remaining capacity (ties to the lower group id)."""
-    remaining = list(capacities)
-    lb = 0.0
-    taken: dict[int, int] = {}
-    for qi, row in enumerate(rows):
-        for gid, s in sorted(row, key=lambda e: (-e[1], e[0])):
-            if remaining[gid] > 0:
-                lb += s
-                remaining[gid] -= 1
-                taken[qi] = gid
-                break
-    return lb, taken
+) -> tuple[float, int, bool, list[int], float]:
+    """One table's row-best matching by a loop over its rows: each row
+    proposes its best entry (ties to the lower group) and a group takes its
+    proposers in row order while it has capacity left.  Returns the weight
+    (added in row order), the rows kept, whether every proposal was kept,
+    each row's kept group (-1 for none) and the lower bound: the weight if
+    the rows kept are min(rows with an entry, sum of min(capacity, rows
+    reaching the group)), else the smaller of the weight and the sum of the
+    count + 1 smallest row minima."""
+    left = list(capacities)
+    reach = [0] * len(capacities)
+    weight, count, fit, choice = 0.0, 0, True, []
+    for row in rows:
+        for gid, _ in row:
+            reach[gid] += 1
+        if not row:
+            choice.append(-1)
+            continue
+        gid, s = min(row, key=lambda e: (-e[1], e[0]))
+        if left[gid] > 0:
+            left[gid] -= 1
+            weight += s
+            count += 1
+            choice.append(gid)
+        else:
+            fit = False
+            choice.append(-1)
+    most = min(sum(1 for row in rows if row), sum(min(c, r) for c, r in zip(capacities, reach)))
+    lb = weight
+    if count < most:
+        mins = sorted(min(s for _, s in row) for row in rows if row)
+        lb = min(weight, sum(mins[: count + 1]))
+    return weight, count, fit, choice, lb
 
 
 def reference_refine(n_sets, n_query, top_centroids_of, postings, phi_c, phi_ref, trace=None):

@@ -253,6 +253,7 @@ class TestCli:
         assert rank == "1"
         float(score), int(sid), int(card)
         assert any(l.startswith("# stage=refine") for l in lines)
+        assert any(l.startswith("# stage=filter") and " row_best_scores=" in l for l in lines)
 
     def test_search_defaults_phi_r_to_3k(self, tmp_path, capsys):
         p = SearchParams(k=7).resolve(1000)

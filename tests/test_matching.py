@@ -10,12 +10,14 @@ from oracles import (
     kuhn_matching_cardinality,
     random_unit_rows,
     reference_ranking,
+    reference_row_best,
     sets_from_sims,
 )
 from tusearch.errors import DataError, UsageError
 from tusearch.matching import (
     brute_force_unionability,
     exact_topk,
+    row_best,
     set_bounds,
     solve_shifted_assignment,
     unionability,
@@ -181,18 +183,78 @@ def repositories(draw):
     return query, repo, tau
 
 
+@st.composite
+def side_by_side(draw):
+    """Tables sharing their rows, laid side by side: tied and free
+    similarities, zero capacities, columns no row reaches and rows with no
+    entry; or every column usable once, as stage 3 passes it."""
+    n_rows = draw(st.integers(1, 5))
+    unit = draw(st.booleans())
+    sim = st.one_of(st.sampled_from([0.5, 0.75, 1.0]), st.floats(0.5, 1.0))
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_g = draw(st.integers(1, 4))
+        caps = [1] * n_g if unit else draw(st.lists(st.integers(0, 3), min_size=n_g, max_size=n_g))
+        reached = draw(st.lists(st.booleans(), min_size=n_g, max_size=n_g))
+        rows = [
+            [(g, draw(sim)) for g in range(n_g) if reached[g] and draw(st.booleans())]
+            for _ in range(n_rows)
+        ]
+        tables.append((rows, caps))
+    return tables, unit
+
+
+class TestRowBest:
+    @settings(max_examples=300, deadline=None)
+    @given(side_by_side())
+    def test_equals_the_per_table_loop(self, case):
+        tables, unit = case
+        widths = [len(caps) for _, caps in tables]
+        starts = np.cumsum([0] + widths[:-1])
+        sims = np.zeros((len(tables[0][0]), sum(widths)))
+        for (rows, _), first in zip(tables, starts):
+            for qi, row in enumerate(rows):
+                for g, s in row:
+                    sims[qi, first + g] = s
+        caps = 1 if unit else np.concatenate([caps for _, caps in tables])
+        best = row_best(sims, sims > 0.0, caps, starts)
+        for t, (rows, table_caps) in enumerate(tables):
+            weight, count, fit, choice, lb = reference_row_best(rows, table_caps)
+            assert (best.weight[t], best.count[t], best.fit[t], best.lb[t]) == (weight, count, fit, lb)
+            assert best.choice[:, t].tolist() == choice
+            assert best.row_max[:, t].tolist() == [max((s for _, s in row), default=0.0) for row in rows]
+
+
 class TestSetBounds:
     def test_lb_valid_when_greedy_blocks_a_row(self):
-        # Greedy takes .99 three times and leaves the last query column
-        # unmatched (2.97); the exact score matches all four at .7 (2.8).
+        # Each query column proposes its .99 set column and the last one
+        # column 0, which the first already holds: 2.97 over three columns,
+        # where the exact score matches all four at .7 (2.8).  Three is
+        # below the four a matching can take, so the four row minima (2.8)
+        # cap the bound.
         sims = [[.99, .7, 0, 0], [0, .99, .7, 0], [0, 0, .99, .7], [.7, 0, 0, 0]]
         q, v = sets_from_sims(sims)
         repo = VectorSetRepository(v, [0, len(v)])
         exact = unionability(q, repo.vectors_of(0), 0.6)
         assert (exact.cardinality, exact.weight) == (4, pytest.approx(2.8, abs=1e-6))
         lb, ub = set_bounds(q, repo, [0], 0.6)
-        assert lb[0] <= exact.weight + 1e-9
+        assert lb[0] == pytest.approx(2.8, abs=1e-6)
         assert exact.weight <= ub[0] + 1e-9
+
+    def test_sandwich_on_sparse_tables(self):
+        """Sets whose columns most query columns miss, so the row-best
+        matching often turns rows away and the floors cap it."""
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n_q, n_v = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            sims = np.where(rng.uniform(size=(n_q, n_v)) < 0.4, rng.uniform(0.5, 1.0, (n_q, n_v)), 0.0)
+            sims = sims.astype(np.float32).astype(np.float64)  # as the repository stores them
+            q, v = sets_from_sims(sims)
+            repo = VectorSetRepository(v, [0, n_v])
+            card, weight = enumerate_best_matching(sims, sims >= 0.5)
+            lb, ub = set_bounds(q, repo, [0], 0.5)
+            assert lb[0] <= weight + 1e-9
+            assert weight <= ub[0] + 1e-9
 
     def test_empty_candidate_list(self):
         repo = VectorSetRepository(np.eye(2), [0, 2])

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from oracles import (
     enumerate_mwmto,
     random_unit_rows,
-    reference_greedy_lower_bound,
     reference_partition_sims,
+    reference_row_best,
 )
 from tusearch.errors import InvariantError
-from tusearch.matching import unionability
+from tusearch.matching import solve_shifted_assignment, unionability
 from tusearch.mwmto import (
     BoundPair,
     PartitionLayout,
     PartitionSimTable,
     bounds_for_mwmto,
-    greedy_lower_bound,
     mwmto_exact,
     partition_sims,
 )
@@ -36,6 +35,18 @@ def rows_of(table):
         [(int(g), float(table.sims[qi, g])) for g in np.flatnonzero(table.valid[qi])]
         for qi in range(table.n_query)
     ]
+
+
+def row_best_of(table):
+    """The table's row-best matching as ``reference_row_best`` returns it."""
+    return table.weight, table.count, table.fit, table.choice.tolist(), table.lb
+
+
+def solver_result(table):
+    """The assignment solver on the table's trimmed expansion."""
+    copies = np.minimum(table.capacities, table.valid.sum(axis=0))
+    col_group = np.repeat(np.arange(len(copies)), copies)
+    return solve_shifted_assignment(table.sims[:, col_group], table.valid[:, col_group])
 
 
 def random_dense_table(rng, tau=0.5):
@@ -171,8 +182,10 @@ class TestBatchedTables:
                         assert abs(a - b) <= 1e-12
                 assert (got.sims[~got.valid] == 0.0).all()
                 alone = table_from(want, [g.capacity for g in pset.groups])
-                assert got.most == alone.most
-                assert np.allclose(got.floors, alone.floors, rtol=0.0, atol=1e-12)
+                assert (got.count, got.fit) == (alone.count, alone.fit)
+                assert got.choice.tolist() == alone.choice.tolist()
+                for a, b in ((got.weight, alone.weight), (got.lb, alone.lb), (got.ub, alone.ub)):
+                    assert abs(a - b) <= 1e-12
 
     def test_no_candidates_gives_no_tables(self):
         rng = np.random.default_rng(22)
@@ -181,6 +194,8 @@ class TestBatchedTables:
         assert partition_sims(random_unit_rows(rng, 2, 3), layout, [], 0.5) == {}
 
     def test_greedy_equals_reference_on_batched_tables(self):
+        """The row-best matching behind each batched table's lower bound
+        equals the per-row reference loop."""
         rng = np.random.default_rng(23)
         for _ in range(40):
             cb = Codebook(random_unit_rows(rng, 6, 3), train_seed=0)
@@ -189,8 +204,7 @@ class TestBatchedTables:
             q = random_unit_rows(rng, int(rng.integers(1, 8)), 3)
             for table in partition_sims(q, layout, range(9), 0.2).values():
                 rows = rows_of(table)
-                caps = table.capacities.tolist()
-                assert greedy_lower_bound(table) == reference_greedy_lower_bound(rows, caps)
+                assert row_best_of(table) == reference_row_best(rows, table.capacities.tolist())
 
     def test_greedy_equals_reference_on_tied_similarities(self):
         rng = np.random.default_rng(24)
@@ -202,16 +216,48 @@ class TestBatchedTables:
                 for _ in range(n_q)
             ]
             caps = [int(rng.integers(0, 3)) for _ in range(n_g)]
-            lb, taken = greedy_lower_bound(table_from(rows, caps))
-            assert (lb, taken) == reference_greedy_lower_bound(rows, caps)
+            assert row_best_of(table_from(rows, caps)) == reference_row_best(rows, caps)
 
     def test_ub_is_the_descending_pool_sum(self):
+        """The upper bound sums the largest min(n_query, set_size) row
+        maxima in descending order, and never exceeds the sum of as many
+        of the pooled entries."""
         rng = np.random.default_rng(25)
         for _ in range(200):
             table = random_sparse_table(rng)
-            pool = sorted((s for row in rows_of(table) for _, s in row), reverse=True)
+            rows = rows_of(table)
+            row_max = sorted((max(s for _, s in row) if row else 0.0 for row in rows), reverse=True)
+            pool = sorted((s for row in rows for _, s in row), reverse=True)
             take = min(table.n_query, table.set_size)
-            assert bounds_for_mwmto(table).ub == float(sum(pool[:take]))
+            ub = bounds_for_mwmto(table).ub
+            assert ub == float(sum(row_max[:take]))
+            assert ub <= float(sum(pool[:take]))
+
+    def test_fit_tables_equal_the_solver_bit_for_bit(self):
+        """Where the row-best matching turned no proposal away, its weight
+        is the solver's, compared with ==, and its cardinality too."""
+        rng = np.random.default_rng(26)
+        fits = 0
+        for _ in range(60):
+            cb = Codebook(random_unit_rows(rng, 8, 4), train_seed=0)
+            pindex = random_partition_index(rng, cb, 12, 4)
+            layout = PartitionLayout.build(pindex, cb)
+            q = random_unit_rows(rng, int(rng.integers(1, 9)), 4)
+            for table in partition_sims(q, layout, range(12), float(rng.uniform(0.1, 0.6))).values():
+                res = mwmto_exact(table)
+                assert res.row_best == table.fit
+                if table.fit:
+                    fits += 1
+                    solved = solver_result(table)
+                    assert (res.score, res.cardinality) == (solved.weight, solved.cardinality)
+        assert fits > 100
+        # tall tables, where numpy's pairwise column sums would differ
+        for _ in range(30):
+            n_q, n_g = int(rng.integers(20, 61)), int(rng.integers(1, 4))
+            table = table_from([[(g, float(rng.uniform(0.5, 1.0))) for g in range(n_g)] for _ in range(n_q)],
+                               [n_q] * n_g)
+            assert table.fit
+            assert mwmto_exact(table).score == solver_result(table).weight
 
 
 class TestMwmtoExact:
@@ -235,8 +281,9 @@ class TestMwmtoExact:
         assert res.assignment == {0: 0}
 
     def test_empty_table(self):
-        res = mwmto_exact(table_from([[], []], [2]))
-        assert (res.score, res.cardinality, res.assignment) == (0.0, 0, {})
+        for rows in ([[], []], []):
+            res = mwmto_exact(table_from(rows, [2]))
+            assert (res.score, res.cardinality, res.assignment) == (0.0, 0, {})
 
     @pytest.mark.parametrize("maker", [random_dense_table, random_sparse_table])
     def test_matches_exhaustive_enumeration(self, maker):
@@ -331,15 +378,31 @@ class TestBounds:
             assert bounds.lb <= res.score + 1e-9
             assert res.score <= bounds.ub + 1e-9
 
+    def test_sandwich_on_sparse_batched_tables(self):
+        """Batched tables at a high threshold, so rows miss most groups."""
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            cb = Codebook(random_unit_rows(rng, 6, 3), train_seed=0)
+            layout = PartitionLayout.build(random_partition_index(rng, cb, 9, 3), cb)
+            q = random_unit_rows(rng, int(rng.integers(1, 7)), 3)
+            for table in partition_sims(q, layout, range(9), 0.6).values():
+                _, weight = enumerate_mwmto(rows_of(table), table.capacities.tolist())
+                bounds = bounds_for_mwmto(table)
+                assert bounds.lb <= weight + 1e-9
+                assert weight <= bounds.ub + 1e-9
+
     def test_lb_valid_when_greedy_blocks_a_row(self):
-        # Greedy takes .99 three times and leaves the last row without a
-        # group (2.97); the exact score matches all four rows at .7 (2.8).
+        # Every row proposes its .99 group and the last row its only one,
+        # group 0, which the first row already holds: 2.97 over three rows,
+        # where the exact score matches all four at .7 (2.8).  Three is
+        # below the four rows a matching can take, so the four row minima
+        # (2.8) cap the bound.
         rows = [[(0, .99), (1, .7)], [(1, .99), (2, .7)], [(2, .99), (3, .7)], [(0, .7)]]
         table = table_from(rows, [1, 1, 1, 1])
-        assert greedy_lower_bound(table)[0] == pytest.approx(2.97, abs=1e-9)
+        assert (table.weight, table.count, table.fit) == (pytest.approx(2.97, abs=1e-9), 3, False)
         exact = mwmto_exact(table)
         assert (exact.cardinality, exact.score) == (4, pytest.approx(2.8, abs=1e-9))
-        assert bounds_for_mwmto(table).lb <= exact.score + 1e-9
+        assert bounds_for_mwmto(table).lb == pytest.approx(2.8, abs=1e-9)
 
     def test_lb_caps_greedy_only_below_the_largest_cardinality(self):
         # greedy matches one row (0.9) where two fit; the two row minima sum
@@ -357,24 +420,28 @@ class TestBounds:
         assert mwmto_exact(table).score == pytest.approx(0.3, abs=1e-9)
 
     def test_lb_assignment_is_feasible(self):
+        """The row-best matching behind the lower bound uses only valid
+        entries, no group beyond its capacity, and weighs what it says."""
         rng = np.random.default_rng(11)
         for _ in range(200):
             table = random_sparse_table(rng)
-            lb, taken = greedy_lower_bound(table)
             usage = {}
             total = 0.0
-            for qi, gid in taken.items():
+            for qi, gid in enumerate(table.choice.tolist()):
+                if gid < 0:
+                    continue
+                assert table.valid[qi, gid]
                 usage[gid] = usage.get(gid, 0) + 1
-                sim = table.sims[qi, gid]
-                total += sim
+                total += table.sims[qi, gid]
             for gid, used in usage.items():
                 assert used <= table.capacities[gid]
-            assert lb == pytest.approx(total, abs=1e-9)
+            assert (table.weight, table.count) == (total, sum(usage.values()))
+            assert bounds_for_mwmto(table).lb <= table.weight
 
     def test_greedy_breaks_ties_by_lower_group(self):
         table = table_from([[(1, 0.8), (0, 0.8)]], [1, 1])
-        _, taken = greedy_lower_bound(table)
-        assert taken == {0: 0}
+        assert table.choice.tolist() == [0]
+        assert mwmto_exact(table).assignment == {0: 0}
 
     def test_ub_monotone_in_tau(self):
         rng = np.random.default_rng(12)

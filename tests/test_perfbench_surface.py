@@ -71,15 +71,27 @@ def test_traced_refine_fills_what_perfbench_reads(engine):
 
 def test_stage_one_hooks_run_once_per_search(engine, monkeypatch):
     """perfbench requires one stage-1 span, two ``pruning.run`` spans (stages
-    2 and 3) and at least one ``matching.exact`` span in every traced search."""
+    2 and 3) and at least one ``matching.exact`` span in every traced search.
+    Its ``mwmto.bounds`` and ``mwmto.exact`` layers time one call per
+    stage-2 candidate that the pruner bounds or scores, so batching either
+    away would leave those layers empty."""
     calls = count_calls(monkeypatch, [(pipeline, "refine"), (pipeline, "top_centroids"),
-                                      (pipeline, "run_pruner"), (matching, "unionability")])
+                                      (pipeline, "run_pruner"), (matching, "unionability"),
+                                      (pipeline, "bounds_for_mwmto"), (pipeline, "mwmto_exact")])
     for pruner in ("bf", "base", "enhanced"):
         calls.update(dict.fromkeys(calls, 0))
-        engine.search(QueryTable(engine.repo.vectors_of(5)), SearchParams(k=5, phi_c=4, pruner=pruner))
+        diag = engine.search(QueryTable(engine.repo.vectors_of(5)),
+                             SearchParams(k=5, phi_c=4, pruner=pruner)).diagnostics
         assert calls["unionability"] >= 1
         assert calls == {"refine": 1, "top_centroids": 1, "run_pruner": 2,
-                         "unionability": calls["unionability"]}
+                         "unionability": calls["unionability"],
+                         "bounds_for_mwmto": diag.filter_bound_calls,
+                         "mwmto_exact": diag.filter_score_calls}
+        # the enhanced pruner, which perfbench runs, bounds every candidate
+        if pruner == "enhanced":
+            assert calls["bounds_for_mwmto"] == diag.refine_candidates
+        assert 1 <= calls["mwmto_exact"] <= diag.refine_candidates
+        assert diag.filter_row_best_scores <= diag.filter_score_calls
 
 
 def test_built_engine_answers_what_perfbench_reads(engine, tmp_path):

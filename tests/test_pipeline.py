@@ -173,6 +173,19 @@ class TestSearch:
             outputs.append([engine.search(q, params).items for q in queries])
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_row_best_scores_never_exceed_filter_score_calls(self, workload):
+        _, queries, engine = workload
+        taken = 0
+        for pruner in ("bf", "base", "enhanced"):
+            params = SearchParams(k=5, tau=0.7, phi_c=8, phi_ref=40, phi_r=15, pruner=pruner)
+            for query in queries[:8]:
+                diag = engine.search(query, params).diagnostics
+                assert 0 <= diag.filter_row_best_scores <= diag.filter_score_calls
+                filter_line = next(l for l in diag.lines() if l.startswith("stage=filter"))
+                assert f"row_best_scores={diag.filter_row_best_scores} " in filter_line
+                taken += diag.filter_row_best_scores
+        assert taken > 0
+
     def test_scores_non_increasing_and_unique_ids(self, workload):
         _, queries, engine = workload
         result = engine.search(queries[0], SearchParams(k=10, tau=0.7))

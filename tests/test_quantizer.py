@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_kmeans, reference_postings
-from tusearch.errors import UsageError
+import tusearch.quantizer as quantizer
+from tusearch.errors import DataError, UsageError
 from tusearch.quantizer import (
     NEAREST_BLOCK,
     TRAIN_POINTS_PER_CENTROID,
@@ -107,6 +108,31 @@ class TestTrainKmeans:
         cb = train_kmeans(pts, 12, max_iters=30, seed=2)
         hist = cb.inertia_history
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(hist, hist[1:]))
+
+    def test_repeated_points_below_k_converge(self):
+        """Six distinct points repeated to 2348 rows, k = 24: the converged
+        inertia is rounding noise (7e-13, then 2.4e-12), not a rise."""
+        points = np.random.default_rng(2).standard_normal((6, 8))[np.arange(2348) % 6]
+        cb = train_kmeans(points, 24, seed=0)
+        assert cb.inertia_history[-1] < 1e-9
+        assert len({tuple(c) for c in cb.centroids.tolist()}) >= 6
+
+    def test_a_worse_lloyd_step_still_raises(self, monkeypatch):
+        """Moving every centroid by 2e-7 after the first Lloyd step raises
+        the inertia by about 8e-10, some 25 times the rounding allowance."""
+        points = np.random.default_rng(2).standard_normal((6, 8))[np.arange(2348) % 6]
+        nearest = quantizer._nearest
+        calls = []
+
+        def worse(pts, centroids):
+            calls.append(1)
+            if len(calls) == 2:
+                centroids += 2e-7
+            return nearest(pts, centroids)
+
+        monkeypatch.setattr(quantizer, "_nearest", worse)
+        with pytest.raises(DataError, match="inertia increased"):
+            train_kmeans(points, 24, seed=0)
 
     def test_subsampled_training_is_deterministic(self):
         # pool larger than the per-centroid training cap takes the subsample path
