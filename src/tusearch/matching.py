@@ -3,9 +3,9 @@
 The score maximized here is lexicographic: first the number of matched
 pairs whose similarity clears the threshold, then the total similarity of
 those pairs.  The reduction to a single assignment problem shifts every
-valid edge weight by a constant W larger than the sum of all edge weights,
-so one extra matched pair always outweighs any possible weight change;
-the solver then only has to maximize the shifted total.
+valid edge weight by a constant W larger than any matching can weigh, so
+one extra matched pair always outweighs any possible weight change; the
+solver then only has to maximize the shifted total.
 
 ``row_best`` forms, for many tables laid side by side and with no loop
 per row or per table, the matching in which every row takes its best
@@ -45,23 +45,41 @@ class MatchingResult:
 
 
 def _sim_matrix(q_mat: np.ndarray, v_mat: np.ndarray) -> np.ndarray:
-    return q_mat.astype(np.float64) @ v_mat.astype(np.float64).T
+    """The float64 product; a float64 argument is used as it is."""
+    return np.asarray(q_mat, dtype=np.float64) @ np.asarray(v_mat, dtype=np.float64).T
+
+
+def assignment_shift(n_rows, n_cols, top):
+    """W for a table of ``n_rows x n_cols`` whose valid entries are positive
+    and at most ``top``: a matching weighs at most ``min(n_rows, n_cols) *
+    top``, so W exceeds it and one more matched pair outweighs any change
+    of weight.  Works elementwise on arrays, with the same rounding."""
+    return 1.0 + np.minimum(n_rows, n_cols) * top
 
 
 def solve_shifted_assignment(sims: np.ndarray, valid: np.ndarray) -> MatchingResult:
     """Maximum-cardinality-then-maximum-weight matching over ``valid`` cells.
 
-    ``sims`` is the full similarity matrix; ``valid`` marks threshold edges.
-    Invalid cells enter the assignment problem with profit exactly 0, valid
-    cells with ``sims + W``; selecting an invalid cell is therefore never
+    ``sims`` is the full similarity matrix; ``valid`` marks threshold edges,
+    whose entries are positive.  Invalid cells enter the assignment problem
+    with profit exactly 0, valid cells with ``sims + W``
+    (``assignment_shift``); selecting an invalid cell is therefore never
     worth anything and the optimum over full assignments coincides with the
     optimum over partial matchings.
     """
     if not valid.any():
         return MatchingResult(0, 0.0, [])
-    shift = 1.0 + float(sims[valid].sum())
-    profit = np.where(valid, sims + shift, 0.0)
+    shift = assignment_shift(*sims.shape, sims[valid].max())
+    return solve_profit(np.where(valid, sims + shift, 0.0), sims, valid)
+
+
+def solve_profit(profit: np.ndarray, sims: np.ndarray, valid: np.ndarray, column_of=None) -> MatchingResult:
+    """``solve_shifted_assignment`` once its ``profit`` matrix is built;
+    ``column_of`` maps each profit column to its column of ``sims`` and
+    ``valid``, which the returned pairs name (by default the same one)."""
     rows, cols = linear_sum_assignment(profit, maximize=True)
+    if column_of is not None:
+        cols = column_of[cols]
     keep = valid[rows, cols]
     rows, cols = rows[keep], cols[keep]
     weight = float(sum(sims[rows, cols].tolist()))  # added left to right in row order
@@ -107,6 +125,7 @@ class RowBest:
     count: np.ndarray  # the rows kept
     fit: np.ndarray  # no proposal was turned away
     lb: np.ndarray  # lower bound on the exact score
+    copies: np.ndarray  # per column, the most a matching can use it: min(capacity, rows reaching it)
 
 
 def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts) -> RowBest:
@@ -169,15 +188,15 @@ def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts) -> RowBest
     count = np.bincount(kept_table, minlength=n_tables)
     fit = np.bincount(pair_table[~kept], minlength=n_tables) == 0
 
-    reach = np.add.reduceat(np.minimum(caps, np.bincount(cols, minlength=n_cols)), starts)
-    most = np.minimum(np.bincount(pair_table, minlength=n_tables), reach)
+    copies = np.minimum(caps, np.bincount(cols, minlength=n_cols))
+    most = np.minimum(np.bincount(pair_table, minlength=n_tables), np.add.reduceat(copies, starts))
     lb = weight.copy()
     short = np.flatnonzero(count < most)
     if len(short):
         row_min = np.full((n_rows, n_tables), np.inf)
         row_min[pair_row, pair_table] = np.minimum.reduceat(vals, head)
         lb[short] = np.minimum(weight[short], matching_floors(row_min[:, short], count[short]))
-    return RowBest(row_max, choice, weight, count, fit, lb)
+    return RowBest(row_max, choice, weight, count, fit, lb, copies)
 
 
 def _bounded_product(q_mat: np.ndarray, repo, sids: np.ndarray, tau: float):

@@ -6,24 +6,27 @@ taken at most |S| times.  A query vector's similarity to a group is the
 maximum inner product over the group's centroids, and only entries at or
 above the threshold participate.
 
-``PartitionLayout`` reads the flat partition index once into one float64
-matrix with the codebook rows followed by every set's cascade rows, and
-per set the span of its group-centroid row ids, its group starts and its
-group capacities.  ``partition_sims`` then builds the tables of all of a
-search's candidates from one product over their gathered rows and one
-``np.maximum.reduceat`` over the group starts, and runs
-``matching.row_best`` once over all of them: every query vector proposes
-its best group, and each group keeps its first ``capacity`` proposers.
+``PartitionLayout`` reads the flat partition index once: the codebook and
+every set's cascade rows in float64, and per group its centroid ids and
+capacity.  ``partition_sims`` builds the tables of all of a search's
+candidates in one batched pass.  Codebook centroids take their
+similarities from one query-by-codebook product, and only the candidates'
+cascade rows get a product of their own.  Every group takes its first
+centroid's column, and groups of several centroids fold in the rest with
+one ``np.maximum`` per position in the group.  ``matching.row_best`` then
+runs once over all tables: every query vector proposes its best group,
+and each group keeps its first ``capacity`` proposers.
 
 The lower bound is that row-best matching's weight, capped by
 ``matching.matching_floors`` where it takes fewer query vectors than a
 matching can; the upper bound sums the largest ``min(n_query,
 set_size)`` row maxima.  A table whose groups turned no proposal away
-has the row-best matching as its exact optimum.  Any other table's exact
-score reuses the shifted-weight assignment reduction from ``matching``
+has the row-best matching as its exact optimum.  Every other table's
+exact score is the shifted-weight assignment reduction from ``matching``
 with each group expanded into identical columns, as many as it can be
 used: its capacity, or the number of query vectors that reach it if
-fewer.
+fewer.  The same pass builds those assignment problems for all such
+tables with one gather, so ``mwmto_exact`` only solves.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, UsageError
-from .matching import MatchingResult, ranges, row_best, solve_shifted_assignment
+from .matching import assignment_shift, ranges, row_best, solve_profit
 from .partitions import PartitionIndex
 from .quantizer import Codebook
 
@@ -55,10 +58,14 @@ class PartitionSimTable:
     each group's vector count.  ``choice`` (each query vector's group, -1
     for none), ``weight``, ``count`` and ``fit`` are the table's
     ``matching.row_best`` matching; ``lb`` and ``ub`` are the bounds
-    ``bounds_for_mwmto`` returns.
+    ``bounds_for_mwmto`` returns.  A table that is not ``fit`` and can
+    match anything carries its assignment problem: ``profit`` over its
+    groups expanded into identical columns, ``groups`` naming the group of
+    each column; every other table has None in both.
 
     The constructor takes per query vector the (group_id, similarity)
-    entries clearing tau; ``partition_sims`` builds the dense form directly.
+    entries clearing tau (> 0); ``partition_sims`` builds the dense form
+    directly.
     """
 
     def __init__(self, rows: list[list[tuple[int, float]]], capacities):
@@ -83,7 +90,8 @@ class PartitionSimTable:
 
 def _side_by_side(sims, valid, capacities, starts) -> list[PartitionSimTable]:
     """The tables laid side by side in ``sims``, table t from column
-    ``starts[t]``, as views that carry their row-best matching and bounds."""
+    ``starts[t]``, as views that carry their row-best matching, bounds and
+    assignment problem."""
     starts = np.asarray(starts, dtype=np.int64)
     best = row_best(sims, valid, capacities, starts)
     # the largest min(n_query, set_size) row maxima, summed in descending order
@@ -92,6 +100,7 @@ def _side_by_side(sims, valid, capacities, starts) -> list[PartitionSimTable]:
     take = np.minimum(len(sims), np.add.reduceat(capacities, starts))
     ub = pooled[take, np.arange(len(starts))]
     ends = np.append(starts[1:], sims.shape[1])
+    problems = _assignment_problems(sims, valid, starts, ends, best.copies, np.flatnonzero(~best.fit))
     tables = []
     for t, (a, b, weight, count, fit, low, high) in enumerate(zip(
         starts.tolist(), ends.tolist(), best.weight.tolist(), best.count.tolist(),
@@ -101,41 +110,71 @@ def _side_by_side(sims, valid, capacities, starts) -> list[PartitionSimTable]:
         table.sims, table.valid, table.capacities = sims[:, a:b], valid[:, a:b], capacities[a:b]
         table.choice = best.choice[:, t]
         table.weight, table.count, table.fit, table.lb, table.ub = weight, count, fit, low, high
+        table.profit, table.groups = problems.get(t, (None, None))
         tables.append(table)
     return tables
+
+
+def _assignment_problems(sims, valid, starts, ends, copies, todo) -> dict[int, tuple]:
+    """Per listed table that can match anything, its ``(profit, groups)``
+    from one gather over all of them: ``profit`` is the shifted profit
+    matrix of the table with each group expanded into ``copies`` identical
+    columns, and ``groups`` names the group of each column."""
+    if len(todo) == 0:
+        return {}
+    cols = ranges(starts[todo], ends[todo] - starts[todo])
+    used = np.flatnonzero(copies[cols])
+    n_used = np.bincount(np.repeat(np.arange(len(todo)), ends[todo] - starts[todo])[used],
+                         minlength=len(todo))
+    todo, n_used = todo[n_used > 0], n_used[n_used > 0]
+    cols = cols[used]
+    head = np.cumsum(n_used) - n_used
+    width = np.add.reduceat(copies[cols], head)
+    # a used column has a valid entry, and those are positive while the
+    # rest are 0, so its maximum is its largest valid entry
+    sub = sims[:, cols]
+    shift = assignment_shift(len(sims), width, np.maximum.reduceat(sub.max(axis=0), head))
+    # (s + W) * 1 is s + W, and (s + W) * 0 is +0.0: the profit of
+    # ``solve_shifted_assignment``
+    profit = (sub + np.repeat(shift, n_used)) * valid[:, cols]
+    expand = np.repeat(np.arange(len(cols)), copies[cols])
+    profit, groups = profit[:, expand], (cols - np.repeat(starts[todo], n_used))[expand]
+    first = np.cumsum(width) - width
+    return {
+        t: (profit[:, a:b], groups[a:b])
+        for t, a, b in zip(todo.tolist(), first.tolist(), (first + width).tolist())
+    }
 
 
 @dataclass(frozen=True)
 class PartitionLayout:
     """Every set's partition groups, flattened for batched stage 2.
 
-    ``matrix`` holds the codebook rows, then each set's cascade rows in set
-    order.  ``row_ids`` lists, set after set and group after group, the
-    matrix row of every group centroid: set ``s`` owns positions
-    ``row_ptr[s]:row_ptr[s + 1]`` and groups ``group_ptr[s]:group_ptr[s + 1]``;
-    group ``g`` starts at position ``group_start[g]`` and holds
-    ``capacities[g]`` of the set's vectors.
+    ``centroids`` is the codebook and ``cascade`` every set's cascade rows
+    in set order, both float64: set ``s`` owns cascade rows
+    ``cascade_ptr[s]:cascade_ptr[s + 1]`` and groups ``group_ptr[s]:
+    group_ptr[s + 1]``.  Group ``g`` lists the entries ``cid_ptr[g]:
+    cid_ptr[g + 1]`` of ``centroid_ids``, each a codebook id or ``n_c + j``
+    for row ``j`` of its set's cascade rows, and holds ``capacities[g]`` of
+    the set's vectors.
     """
 
-    matrix: np.ndarray
-    row_ids: np.ndarray
-    row_ptr: np.ndarray
-    group_start: np.ndarray
+    centroids: np.ndarray
+    cascade: np.ndarray
+    cascade_ptr: np.ndarray
+    centroid_ids: np.ndarray
+    cid_ptr: np.ndarray
     group_ptr: np.ndarray
     capacities: np.ndarray
 
     @classmethod
     def build(cls, pindex: PartitionIndex, cb: Codebook) -> "PartitionLayout":
-        row_ptr = pindex.cid_ptr[pindex.group_ptr].astype(np.int64)
-        # A cascade id n_c + j of set s is row n_c + j + (cascade rows of the
-        # sets before s).
-        shift = np.repeat(pindex.cascade_ptr[:-1].astype(np.int64), np.diff(row_ptr))
-        row_ids = pindex.centroid_ids.astype(np.int64)
         return cls(
-            matrix=np.concatenate([cb.centroids64(), pindex.cascade], dtype=np.float64),
-            row_ids=np.where(row_ids >= cb.n_c, row_ids + shift, row_ids),
-            row_ptr=row_ptr,
-            group_start=pindex.cid_ptr[:-1].astype(np.int64),
+            centroids=cb.centroids64(),
+            cascade=pindex.cascade.astype(np.float64),
+            cascade_ptr=pindex.cascade_ptr.astype(np.int64),
+            centroid_ids=pindex.centroid_ids.astype(np.int64),
+            cid_ptr=pindex.cid_ptr.astype(np.int64),
             group_ptr=pindex.group_ptr.astype(np.int64),
             capacities=np.diff(pindex.member_ptr).astype(np.int64),
         )
@@ -153,26 +192,42 @@ def partition_sims(
     q64: np.ndarray, layout: PartitionLayout, set_ids, tau: float
 ) -> dict[int, PartitionSimTable]:
     """Thresholded max-over-group-centroid similarities of every query
-    vector to every group of each listed set, from one product over the
-    sets' gathered group-centroid rows, with each table's row-best matching
-    and bounds from one pass over all of them."""
+    vector to every group of each listed set, with each table's row-best
+    matching, bounds and, where it is not ``fit``, assignment problem, all
+    from one batched pass."""
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
     sids = np.asarray(set_ids, dtype=np.int64)
     if len(sids) == 0:
         return {}
-    row0 = layout.row_ptr[sids]
-    n_rows = layout.row_ptr[sids + 1] - row0
+    q64 = np.asarray(q64, dtype=np.float64)
     group0 = layout.group_ptr[sids]
     n_groups = layout.group_ptr[sids + 1] - group0
     groups = ranges(group0, n_groups)
-    # layout position minus gathered position, per set
-    moved = np.repeat(row0 - (np.cumsum(n_rows) - n_rows), n_groups)
-    rows = layout.matrix[layout.row_ids[ranges(row0, n_rows)]]
-    sims = np.asarray(q64, dtype=np.float64) @ rows.T
-    sims = np.maximum.reduceat(sims, layout.group_start[groups] - moved, axis=1)
+    start = layout.cid_ptr[groups]
+    size = layout.cid_ptr[groups + 1] - start
+    n_c = len(layout.centroids)
+    product = q64 @ layout.centroids.T
+    casc0 = layout.cascade_ptr[sids]
+    n_casc = layout.cascade_ptr[sids + 1] - casc0
+    lift = None
+    if n_casc.any():
+        # cascade id n_c + j of a listed set is product column n_c + j plus
+        # the cascade rows of the sets listed before it
+        product = np.concatenate((product, q64 @ layout.cascade[ranges(casc0, n_casc)].T), axis=1)
+        lift = np.repeat(np.cumsum(n_casc) - n_casc, n_groups)
+
+    def column(g, j):
+        ids = layout.centroid_ids[start[g] + j]
+        return ids if lift is None else np.where(ids >= n_c, ids + lift[g], ids)
+
+    # take, unlike [:, ids], returns the row-major layout row_best reads
+    sims = product.take(column(slice(None), 0), axis=1)
+    for j in range(1, int(size.max(initial=1))):
+        g = np.flatnonzero(size > j)
+        sims[:, g] = np.maximum(sims[:, g], product[:, column(g, j)])
     valid = sims >= tau
-    sims[~valid] = 0.0
+    sims *= valid  # 0 below tau (-0.0 where the product is negative)
     tables = _side_by_side(sims, valid, layout.capacities[groups], np.cumsum(n_groups) - n_groups)
     return dict(zip(sids.tolist(), tables))
 
@@ -182,26 +237,21 @@ def mwmto_exact(table: PartitionSimTable) -> MwmtoResult:
 
     A table whose row-best matching is ``fit`` returns it: every query
     vector with a valid entry takes its best group, which no assignment
-    beats in cardinality or weight.  Otherwise each group is expanded into
-    ``min(capacity, reach)`` identical columns, ``reach`` being the number
-    of query vectors with a valid entry in it, and the expanded problem is
-    solved exactly.  No assignment can use a group more often, so the
-    optimum is that of the full expansion; groups that no query vector
-    reaches drop out.
+    beats in cardinality or weight.  Otherwise the table's assignment
+    problem, built with all others by ``partition_sims``, is solved: each
+    group as ``min(capacity, reach)`` identical columns, ``reach`` being
+    the number of query vectors with a valid entry in it.  No assignment
+    can use a group more often, so the optimum is that of the full
+    expansion; groups that no query vector reaches drop out.
     """
     if table.fit:
         rows = np.flatnonzero(table.choice >= 0)
         assignment = dict(zip(rows.tolist(), table.choice[rows].tolist()))
         return MwmtoResult(table.weight, table.count, assignment, row_best=True)
-    copies = np.minimum(table.capacities, table.valid.sum(axis=0))
-    col_group = np.repeat(np.arange(len(copies)), copies)
-    if len(col_group) == 0:
+    if table.profit is None:
         return MwmtoResult(0.0, 0, {})
-    res: MatchingResult = solve_shifted_assignment(
-        table.sims[:, col_group], table.valid[:, col_group]
-    )
-    assignment = {qi: int(col_group[col]) for qi, col in res.assignment}
-    return MwmtoResult(res.weight, res.cardinality, assignment)
+    res = solve_profit(table.profit, table.sims, table.valid, table.groups)
+    return MwmtoResult(res.weight, res.cardinality, dict(res.assignment))
 
 
 def bounds_for_mwmto(table: PartitionSimTable) -> BoundPair:

@@ -5,19 +5,20 @@ Stage 1 takes every query column's top ``phi_c`` centroids from one exact
 flat scan of the codebook and ranks sets by accumulated centroid
 similarities.  Stage 2 keeps the top phi_r of them by the exact
 capacitated many-to-one score against each set's partitions, pruning with
-the row-best bounds; one product over the engine's flat partition layout
-gives the similarity tables of all stage-1 candidates, and one row-best
-pass over them gives their bounds and, where every query column's best
-group has room, their exact scores.  Stage 3 scores each survivor with
-the exact thresholded matching against all of the set's vectors, pruning
-with the bounds of ``matching.set_bounds``: one product of the query with
-every survivor's rows gives all of them.
+the row-best bounds; one batched pass over the engine's flat partition
+layout gives the similarity tables of all stage-1 candidates, their
+row-best bounds, their exact scores where every query column's best group
+has room, and the assignment problems of the rest.  Stage 3 scores each
+survivor with the exact thresholded matching against all of the set's
+vectors, pruning with the bounds of ``matching.set_bounds``: one product
+of the query with every survivor's rows gives all of them.
 Queries are independent; every search call builds its own scratch state,
 so one engine serves many threads.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +38,8 @@ from .repository import QueryTable, VectorSetRepository
 @dataclass
 class SearchParams:
     """Knobs for one search.  phi_ref defaults to 5k and phi_r to 3k; the
-    stages nest, so k <= phi_r <= phi_ref is enforced."""
+    stages nest, so k <= phi_r <= phi_ref is enforced.  The sizes must be
+    integers (numpy integers too, bools not) and tau a real number."""
 
     k: int = 10
     tau: float = 0.7
@@ -47,6 +49,14 @@ class SearchParams:
     pruner: str = "enhanced"
 
     def resolve(self, n_sets: int) -> "ResolvedParams":
+        for name in ("k", "phi_c", "phi_ref", "phi_r"):
+            value = getattr(self, name)
+            if value is None and name in ("phi_ref", "phi_r"):
+                continue  # defaulted below
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise UsageError(f"tau must be a real number, got {self.tau!r}")
         if self.k < 1:
             raise UsageError(f"k must be >= 1, got {self.k}")
         if not 0 < self.tau <= 1:
@@ -94,6 +104,8 @@ class SearchDiagnostics:
     filter_score_calls: int = 0
     filter_bound_calls: int = 0
     filter_row_best_scores: int = 0  # stage-2 exact scores taken without an assignment solve
+    filter_exact_s: float = 0.0  # seconds inside the stage-2 exact scorer
+    score_exact_s: float = 0.0  # seconds inside the stage-3 exact scorer
     scoring_score_calls: int = 0
     scoring_bound_calls: int = 0
     depq_ops: int = 0
@@ -110,10 +122,12 @@ class SearchDiagnostics:
             f"stage=filter candidates={self.filter_candidates} "
             f"score_calls={self.filter_score_calls} bound_calls={self.filter_bound_calls} "
             f"row_best_scores={self.filter_row_best_scores} "
-            f"ms={1e3 * self.stage_seconds.get('filter', 0.0):.3f}",
+            f"ms={1e3 * self.stage_seconds.get('filter', 0.0):.3f} "
+            f"exact_ms={1e3 * self.filter_exact_s:.3f}",
             f"stage=score results={self.result_count} "
             f"score_calls={self.scoring_score_calls} bound_calls={self.scoring_bound_calls} "
-            f"ms={1e3 * self.stage_seconds.get('score', 0.0):.3f}",
+            f"ms={1e3 * self.stage_seconds.get('score', 0.0):.3f} "
+            f"exact_ms={1e3 * self.score_exact_s:.3f}",
             f"depq_ops={self.depq_ops}",
         ]
         return out
@@ -126,11 +140,10 @@ class SearchResult:
 
 
 class _QueryState:
-    """Per-search scratch: the query matrix in float32 and float64, plus a
-    per-candidate memo so stage-3 exact scores are computed at most once."""
+    """Per-search scratch: the query matrix in float64, plus a per-candidate
+    memo so stage-3 exact scores are computed at most once."""
 
     def __init__(self, query: QueryTable):
-        self.q32 = query.vectors
         self.q64 = query.vectors.astype(np.float64)
         self.clustered: dict[int, tuple[float, int]] = {}
 
@@ -163,7 +176,7 @@ class SearchEngine:
     def _clustered(self, state: _QueryState, set_id: int, tau: float) -> tuple[float, int]:
         cached = state.clustered.get(set_id)
         if cached is None:
-            res = matching.unionability(state.q32, self.repo.vectors_of(set_id), tau)
+            res = matching.unionability(state.q64, self.repo.vectors_of(set_id), tau)
             cached = state.clustered[set_id] = (res.weight, res.cardinality)
         return cached
 
@@ -225,9 +238,17 @@ class SearchEngine:
         tables = partition_sims(state.q64, self.partition_layout, stage1_ids, tau)
 
         def filter_score(sid: int) -> float:
+            start = time.perf_counter()
             res = mwmto_exact(tables[sid])
+            diag.filter_exact_s += time.perf_counter() - start
             diag.filter_row_best_scores += res.row_best
             return res.score
+
+        def scoring_score(sid: int) -> float:
+            start = time.perf_counter()
+            weight = self._clustered(state, sid, tau)[0]
+            diag.score_exact_s += time.perf_counter() - start
+            return weight
 
         ranked2, stats2 = run_pruner(
             resolved.pruner,
@@ -251,7 +272,7 @@ class SearchEngine:
             ids3,
             resolved.k,
             bounds3.__getitem__,
-            lambda sid: self._clustered(state, sid, tau)[0],
+            scoring_score,
         )
         diag.scoring_score_calls = stats3.score_calls
         diag.scoring_bound_calls = stats3.bound_calls

@@ -78,7 +78,7 @@ class TestBundleRoundTrip:
         assert np.array_equal(loaded.assignment.flat, engine.assignment.flat)
         for field in ("ptr", "sets", "counts"):
             assert np.array_equal(getattr(loaded.postings, field), getattr(engine.postings, field))
-        for field in ("matrix", "row_ids", "row_ptr", "group_start", "group_ptr", "capacities"):
+        for field in (f.name for f in dataclasses.fields(engine.partition_layout)):
             want = getattr(engine.partition_layout, field)
             assert np.array_equal(getattr(loaded.partition_layout, field), want), field
         for field in ("group_ptr", "cascade_ptr", "cid_ptr", "member_ptr", "centroid_ids", "members", "cascade"):

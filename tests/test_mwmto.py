@@ -12,7 +12,7 @@ from oracles import (
     reference_row_best,
 )
 from tusearch.errors import InvariantError
-from tusearch.matching import solve_shifted_assignment, unionability
+from tusearch.matching import assignment_shift, solve_shifted_assignment, unionability
 from tusearch.mwmto import (
     BoundPair,
     PartitionLayout,
@@ -42,11 +42,18 @@ def row_best_of(table):
     return table.weight, table.count, table.fit, table.choice.tolist(), table.lb
 
 
-def solver_result(table):
-    """The assignment solver on the table's trimmed expansion."""
+def trimmed_expansion(table):
+    """Each group of the table repeated ``min(capacity, reach)`` times: the
+    group of each column, and the expanded similarities and valid mask."""
     copies = np.minimum(table.capacities, table.valid.sum(axis=0))
     col_group = np.repeat(np.arange(len(copies)), copies)
-    return solve_shifted_assignment(table.sims[:, col_group], table.valid[:, col_group])
+    return col_group, table.sims[:, col_group], table.valid[:, col_group]
+
+
+def solver_result(table):
+    """The assignment solver on the table's trimmed expansion."""
+    _, sims, valid = trimmed_expansion(table)
+    return solve_shifted_assignment(sims, valid)
 
 
 def random_dense_table(rng, tau=0.5):
@@ -81,10 +88,11 @@ def one_set_layout(cb, groups, cascade):
     return PartitionLayout.build(pindex, cb)
 
 
-def random_partition_index(rng, cb, n_sets, d):
+def random_partition_index(rng, cb, n_sets, d, max_centroids=3):
     """Sets of three shapes: singleton groups over distinct codebook ids,
-    merged groups of several codebook ids, and cascade sets whose groups
-    reference private rows (now and then mixed with a codebook id)."""
+    merged groups of up to ``max_centroids`` codebook ids, and cascade sets
+    whose groups reference private rows (now and then mixed with a codebook
+    id when ``max_centroids`` allows two)."""
     psets = []
     for sid in range(n_sets):
         kind = sid % 3
@@ -97,10 +105,10 @@ def random_partition_index(rng, cb, n_sets, d):
             if kind == 0:
                 cids = (int(rng.integers(cb.n_c)),)
             elif kind == 1:
-                cids = tuple(sorted({int(c) for c in rng.integers(cb.n_c, size=rng.integers(1, 4))}))
+                cids = tuple(sorted({int(c) for c in rng.integers(cb.n_c, size=rng.integers(1, max_centroids + 1))}))
             else:
                 cids = (cb.n_c + int(rng.integers(len(cascade))),)
-                if rng.uniform() < 0.3:
+                if rng.uniform() < 0.3 and max_centroids > 1:
                     cids = (int(rng.integers(cb.n_c)),) + cids
             members = np.arange(int(rng.integers(1, 5)), dtype=np.int32)
             groups.append(PartitionGroup(gid, cids, members))
@@ -258,6 +266,38 @@ class TestBatchedTables:
                                [n_q] * n_g)
             assert table.fit
             assert mwmto_exact(table).score == solver_result(table).weight
+
+
+    def check_against_references(self, rng, max_centroids):
+        """Every batched table equals the per-group reference, and its exact
+        score the solver's on its trimmed expansion, with ==.  Returns the
+        layouts' largest group and the fit and solved tables seen."""
+        largest = fits = solved = 0
+        for _ in range(40):
+            cb = Codebook(random_unit_rows(rng, 8, 4), train_seed=0)
+            pindex = random_partition_index(rng, cb, 9, 4, max_centroids)
+            layout = PartitionLayout.build(pindex, cb)
+            largest = max(largest, int(np.diff(layout.cid_ptr).max()))
+            q = random_unit_rows(rng, int(rng.integers(1, 12)), 4)
+            tau = float(rng.uniform(0.05, 0.5))
+            for sid, table in partition_sims(q, layout, range(9), tau).items():
+                want = reference_partition_sims(q, pindex.of(sid), cb, tau)
+                for g_rows, w_rows in zip(rows_of(table), want):
+                    assert [g for g, _ in g_rows] == [g for g, _ in w_rows]
+                    assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(g_rows, w_rows))
+                res, ref = mwmto_exact(table), solver_result(table)
+                assert (res.score, res.cardinality) == (ref.weight, ref.cardinality)
+                fits += table.fit
+                solved += table.profit is not None
+        return largest, fits, solved
+
+    def test_single_centroid_groups(self):
+        largest, fits, solved = self.check_against_references(np.random.default_rng(27), 1)
+        assert largest == 1 and fits > 50 and solved > 50
+
+    def test_groups_of_up_to_five_centroids(self):
+        largest, fits, solved = self.check_against_references(np.random.default_rng(28), 5)
+        assert largest == 5 and fits > 50 and solved > 50
 
 
 class TestMwmtoExact:
@@ -496,3 +536,52 @@ def test_trimmed_expansion_matches_enumeration(case):
         assert gid in dict(rows[qi])
         used[gid] = used.get(gid, 0) + 1
     assert all(n <= caps[gid] for gid, n in used.items())
+
+
+@st.composite
+def mixed_batches(draw):
+    """A partition layout and query whose tables mix fit and contested
+    ones: groups of one to five centroids, cascade rows next to codebook
+    rows, tied similarities from a coarse grid, groups no query vector
+    reaches and query vectors with no valid entry."""
+    d = draw(st.integers(2, 4))
+    coord = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0, width=32))
+
+    def rows(n):
+        vals = draw(st.lists(coord, min_size=n * d, max_size=n * d))
+        return np.array(vals, dtype=np.float32).reshape(n, d)
+
+    n_c = draw(st.integers(1, 6))
+    psets = []
+    for sid in range(draw(st.integers(1, 6))):
+        cascade = rows(draw(st.integers(0, 3)))
+        cid = st.integers(0, n_c + len(cascade) - 1)
+        groups = [
+            PartitionGroup(gid, tuple(draw(st.lists(cid, min_size=1, max_size=5))),
+                           np.arange(draw(st.integers(1, 3)), dtype=np.int32))
+            for gid in range(draw(st.integers(1, 5)))
+        ]
+        psets.append(PartitionSet(sid, groups, cascade))
+    layout = PartitionLayout.build(PartitionIndex.pack(psets, 0.2, 0.8), Codebook(rows(n_c), train_seed=0))
+    q = rows(draw(st.integers(1, 8))).astype(np.float64)
+    return layout, q, draw(st.sampled_from([0.05, 0.25, 0.5, 0.75]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_batches())
+def test_batched_solve_equals_the_expanded_solver(case):
+    layout, q, tau = case
+    tables = partition_sims(q, layout, range(len(layout.group_ptr) - 1), tau)
+    for table in tables.values():
+        res, ref = mwmto_exact(table), solver_result(table)
+        assert (res.score, res.cardinality) == (ref.weight, ref.cardinality)
+        assert res.row_best == table.fit
+        if table.profit is not None:
+            # the prepared problem is the solver's, bit for bit
+            col_group, sims, valid = trimmed_expansion(table)
+            assert table.groups.tolist() == col_group.tolist()
+            shift = assignment_shift(*sims.shape, sims[valid].max())
+            assert np.array_equal(table.profit, np.where(valid, sims + shift, 0.0))
+        used = np.bincount(list(res.assignment.values()), minlength=len(table.capacities))
+        assert (used <= table.capacities).all()
+        assert all(table.valid[qi, g] for qi, g in res.assignment.items())

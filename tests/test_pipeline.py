@@ -65,6 +65,19 @@ class TestParams:
             with pytest.raises(UsageError):
                 params.resolve(100)
 
+    @pytest.mark.parametrize("fields", [
+        {"k": 2.5}, {"k": True}, {"k": "10"}, {"k": None}, {"phi_c": 1.5}, {"phi_c": np.bool_(True)},
+        {"phi_ref": 50.0}, {"phi_r": False}, {"tau": "0.7"}, {"tau": True}, {"tau": None},
+    ])
+    def test_non_integral_sizes_and_non_real_tau_are_usage_errors(self, fields):
+        with pytest.raises(UsageError, match="must be an integer|must be a real number"):
+            SearchParams(**fields).resolve(100)
+
+    def test_numpy_scalars_are_accepted(self):
+        p = SearchParams(k=np.int64(5), tau=np.float32(0.5), phi_c=np.int32(4),
+                         phi_ref=np.int16(40), phi_r=np.uint8(15)).resolve(100)
+        assert (p.k, p.phi_c, p.phi_ref, p.phi_r) == (5, 4, 40, 15)
+
 
 class TestClusteredScoring:
     def test_single_partition_equals_exact_unionability(self, workload, flat_engine):
@@ -185,6 +198,18 @@ class TestSearch:
                 assert f"row_best_scores={diag.filter_row_best_scores} " in filter_line
                 taken += diag.filter_row_best_scores
         assert taken > 0
+
+    def test_exact_seconds_within_their_stage(self, workload):
+        _, queries, engine = workload
+        for pruner in ("bf", "base", "enhanced"):
+            params = SearchParams(k=5, tau=0.7, phi_c=8, phi_ref=40, phi_r=15, pruner=pruner)
+            for query in queries[:6]:
+                diag = engine.search(query, params).diagnostics
+                assert 0.0 < diag.filter_exact_s <= diag.stage_seconds["filter"]
+                assert 0.0 < diag.score_exact_s <= diag.stage_seconds["score"]
+                lines = diag.lines()
+                assert f"exact_ms={1e3 * diag.filter_exact_s:.3f}" in lines[1]
+                assert f"exact_ms={1e3 * diag.score_exact_s:.3f}" in lines[2]
 
     def test_scores_non_increasing_and_unique_ids(self, workload):
         _, queries, engine = workload
