@@ -3,10 +3,10 @@
 Subcommands: ``synth`` (write a synthetic repository + query batch),
 ``build`` (train and persist an index bundle), ``search`` (query a
 bundle), ``eval`` (recall against the exact top-k of a bound-ordered
-scan, computed afresh on every run), ``bench`` (parameter sweep), and
-``inspect`` (bundle statistics).  All stochastic components take their
-randomness from ``--seed``, so every command is deterministic given its
-flags.
+scan, computed afresh on every run, with search latency and exact-score
+calls), and ``inspect`` (bundle statistics).  All stochastic components
+take their randomness from ``--seed``, so every command is deterministic
+given its flags.
 
 Exit codes: 0 success, 2 usage error, 3 data or file-system error, 4 internal
 invariant violation.  Errors print one ``error: ...`` line on stderr.
@@ -23,13 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bundle as bundle_io
-from .errors import TuSearchError
-from .evaluation import (
-    BenchConfig,
-    ground_truth_rankings,
-    recall,
-    run_bench,
-)
+from .errors import TuSearchError, UsageError
+from .evaluation import ground_truth_rankings, recall
 from .partitions import BRANCHES, branch_of
 from .pipeline import SearchParams, build_engine
 from .pruning import PRUNERS
@@ -63,6 +58,8 @@ def _params(args) -> SearchParams:
 
 
 def cmd_synth(args) -> int:
+    if args.queries < 0:
+        raise UsageError(f"--queries must be >= 0, got {args.queries}")
     out = Path(args.out)
     data = generate_synthetic(
         args.n_sets + args.queries,
@@ -147,34 +144,21 @@ def cmd_eval(args) -> int:
     params = _params(args)
     params.resolve(engine.repo.n_sets)  # reject bad parameters before the oracle runs
     truth = ground_truth_rankings(queries, engine.repo, params.tau, params.k)
-    recalls = []
+    recalls, seconds, score_calls = [], [], []
     for qi, query in enumerate(queries):
+        t0 = time.perf_counter()
         result = engine.search(query, params)
+        seconds.append(time.perf_counter() - t0)
+        score_calls.append(result.diagnostics.total_score_calls)
         truth_ids = [sid for sid, _, _ in truth[qi]]
         r = recall([sid for sid, _, _ in result.items], truth_ids)
         recalls.append(r)
         print(f"query\t{qi}\trecall\t{r:.4f}")
     print(f"mean_recall\t{float(np.mean(recalls)):.4f}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    if args.write_default_config:
-        Path(args.write_default_config).write_text(BenchConfig().to_json() + "\n", encoding="utf-8")
-        print(f"wrote\t{args.write_default_config}")
-        return 0
-    config = BenchConfig.from_json(Path(args.config).read_text(encoding="utf-8")) if args.config else BenchConfig()
-    report = run_bench(config, progress=(lambda row: print(
-        f"point\t{row['method']}\tphi_c={row['phi_c']}\tphi_ref={row['phi_ref']}"
-        f"\trecall={row['recall']:.4f}\tp50_ms={row['p50_ms']:.3f}",
-        file=sys.stderr)) if args.verbose else None)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.tsv").write_text(report.to_tsv(), encoding="utf-8")
-    (out / "report.jsonl").write_text(report.to_jsonl(), encoding="utf-8")
-    print(f"report\t{out / 'report.tsv'}")
-    print(f"records\t{out / 'report.jsonl'}")
-    print(f"rows\t{len(report.rows)}")
+    p50, p95 = np.percentile(seconds, [50, 95]) * 1e3
+    print(f"p50_ms\t{p50:.3f}")
+    print(f"p95_ms\t{p95:.3f}")
+    print(f"mean_score_calls\t{float(np.mean(score_calls)):.2f}")
     return 0
 
 
@@ -246,18 +230,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--explain", action="store_true", help="append stage diagnostics")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("eval", help="recall of bundle search against the exact oracle")
+    p = sub.add_parser("eval", help="recall and latency of bundle search against the exact oracle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--queries", required=True, help="manifest with one record per query table")
     _add_search_flags(p)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="parameter sweep over a synthetic workload")
-    p.add_argument("--config", default=None, help="bench config JSON (default built-in)")
-    p.add_argument("--out", default="bench_out")
-    p.add_argument("--write-default-config", default=None, metavar="PATH")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="print bundle statistics")
     p.add_argument("--bundle", required=True)

@@ -29,7 +29,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, UsageError
 from .pruning import BOUND_SLACK
@@ -77,6 +76,10 @@ def solve_profit(profit: np.ndarray, sims: np.ndarray, valid: np.ndarray, column
     """``solve_shifted_assignment`` once its ``profit`` matrix is built;
     ``column_of`` maps each profit column to its column of ``sims`` and
     ``valid``, which the returned pairs name (by default the same one)."""
+    # imported here: scipy.optimize is most of the package's import time,
+    # and build, inspect and synth never solve an assignment
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(profit, maximize=True)
     if column_of is not None:
         cols = column_of[cols]

@@ -20,12 +20,14 @@ from tusearch.bundle import (
 )
 from tusearch.cli import main
 from tusearch.errors import DataError
+from tusearch.evaluation import ground_truth_rankings, recall
 from tusearch.partitions import dispersion
 from tusearch.pipeline import SearchParams, build_engine
 from tusearch.repository import (
     QueryTable,
     generate_synthetic,
     ingest_repository,
+    load_query_tables,
     write_repository,
 )
 
@@ -366,22 +368,24 @@ class TestCli:
         assert main(["inspect", "--bundle", str(tmp_path / "b6")]) == 0
         assert branch_mix() == single
 
-    def test_bench_cli_round_trip(self, tmp_path, capsys):
-        config_path = tmp_path / "bench.json"
-        assert main(["bench", "--write-default-config", str(config_path)]) == 0
-        capsys.readouterr()
-        small = json.loads(config_path.read_text())
-        small.update(
-            n_sets=40, n_queries=3, cols_lo=3, cols_hi=5, dimension=8, n_topics=5,
-            phi_c_grid=[4], phi_ref_multiples=[2], methods=["base", "enhanced"],
-            reps=1, warmup=0, k=4,
-        )
-        config_path.write_text(json.dumps(small))
-        assert main([
-            "bench", "--config", str(config_path), "--out", str(tmp_path / "bench_out"),
-        ]) == 0
-        capsys.readouterr()
-        report = (tmp_path / "bench_out" / "report.tsv").read_text().strip().splitlines()
-        assert len(report) == 1 + 1 * 1 * 2
-        jsonl = (tmp_path / "bench_out" / "report.jsonl").read_text().strip().splitlines()
-        assert len(jsonl) == 1 + 2
+    def test_synth_rejects_negative_queries(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        assert main(["synth", "--out", str(out), "--n-sets", "20", "--queries", "-3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_eval_reports_latency_and_exact_calls(self, sources, saved, capsys):
+        _, queries, _ = sources
+        assert main(["eval", "--bundle", str(saved), "--queries", str(queries), "-k", "5"]) == 0
+        lines = [line.split("\t") for line in capsys.readouterr().out.strip().splitlines()]
+        assert [line[0] for line in lines[-4:]] == ["mean_recall", "p50_ms", "p95_ms", "mean_score_calls"]
+        summary = dict(lines[-4:])
+        assert 0 < float(summary["p50_ms"]) <= float(summary["p95_ms"])
+        engine = load_bundle(saved)
+        tables = load_query_tables(queries)
+        truth = ground_truth_rankings(tables, engine.repo, 0.7, 5)
+        results = [engine.search(q, SearchParams(k=5)) for q in tables]
+        recalls = [recall([sid for sid, _, _ in r.items], [sid for sid, _, _ in t]) for r, t in zip(results, truth)]
+        assert summary["mean_recall"] == f"{np.mean(recalls):.4f}"
+        calls = [r.diagnostics.total_score_calls for r in results]
+        assert summary["mean_score_calls"] == f"{np.mean(calls):.2f}"

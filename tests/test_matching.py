@@ -1,5 +1,10 @@
 """Exact thresholded matching versus independent enumeration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from oracles import (
     reference_row_best,
     sets_from_sims,
 )
+import tusearch
 from tusearch.errors import DataError, UsageError
 from tusearch.matching import (
     brute_force_unionability,
@@ -305,3 +311,23 @@ class TestExactTopk:
         repo = VectorSetRepository(np.eye(2), [0, 2])
         with pytest.raises(UsageError):
             exact_topk(np.eye(2), repo, 0.5, 0)
+
+
+def test_scipy_optimize_loads_at_the_first_assignment_solve():
+    """Importing the package and building an engine leave ``scipy.optimize``
+    unimported; the first exact score imports it."""
+    script = "\n".join([
+        "import sys",
+        "import tusearch",
+        "data = tusearch.generate_synthetic(30, (3, 8), 8, 5, 0.1, seed=1)",
+        "tusearch.build_engine(data.repository, n_c=4, seed=1)",
+        "print('scipy.optimize' in sys.modules)",
+        "vectors = data.repository.vectors_of(0)",
+        "tusearch.unionability(vectors, vectors, 0.7)",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    src = str(Path(tusearch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]

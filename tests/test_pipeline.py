@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tusearch.errors import DataError, UsageError
-from tusearch.evaluation import oracle_topk
-from tusearch.matching import BRUTE_FORCE_MAX_SIDE, brute_force_unionability, unionability
+from tusearch.evaluation import BenchConfig, make_workload
+from tusearch.matching import BRUTE_FORCE_MAX_SIDE, brute_force_unionability, exact_topk, unionability
 from tusearch.pipeline import SearchParams, build_engine
 from tusearch.repository import QueryTable, generate_synthetic, split_repository
 
@@ -248,6 +248,63 @@ class TestSearch:
         assert a == b
 
 
+PHI_C = (4, 8)
+PHI_REF = (10, 20)
+
+
+@pytest.fixture(scope="module")
+def pool_grid():
+    """Every pruner's results at each (phi_c, phi_ref) point of a small
+    grid, with ``phi_r = min(3k, phi_ref)``, and each query's exact top-k."""
+    config = BenchConfig(
+        n_sets=80, n_queries=6, cols_lo=3, cols_hi=7, dimension=12,
+        n_topics=8, noise=0.1, seed=31, k=5, tau=0.7,
+    )
+    repo, queries = make_workload(config)
+    engine = build_engine(repo, seed=config.seed)
+    truth = [{sid for sid, _, _ in exact_topk(q.vectors, repo, config.tau, config.k)} for q in queries]
+    results = {}
+    for phi_c in PHI_C:
+        for phi_ref in PHI_REF:
+            for pruner in ("bf", "base", "enhanced"):
+                params = SearchParams(
+                    k=config.k, tau=config.tau, phi_c=phi_c, phi_ref=phi_ref,
+                    phi_r=min(3 * config.k, phi_ref), pruner=pruner,
+                )
+                results[phi_c, phi_ref, pruner] = [engine.search(q, params) for q in queries]
+    return results, truth
+
+
+class TestPoolSizes:
+    def test_recall_non_decreasing_in_probe_and_pool_sizes(self, pool_grid):
+        results, truth = pool_grid
+
+        def hits(phi_c, phi_ref):
+            """True top-k sets found over the batch: recall times k and queries."""
+            return sum(
+                len({sid for sid, _, _ in r.items} & want)
+                for r, want in zip(results[phi_c, phi_ref, "bf"], truth)
+            )
+
+        for phi_c in PHI_C:
+            seq = [hits(phi_c, phi_ref) for phi_ref in PHI_REF]
+            assert seq == sorted(seq)
+        for phi_ref in PHI_REF:
+            seq = [hits(phi_c, phi_ref) for phi_c in PHI_C]
+            assert seq == sorted(seq)
+
+    def test_pruners_make_no_more_exact_calls_than_bf(self, pool_grid):
+        results, _ = pool_grid
+        for phi_c in PHI_C:
+            for phi_ref in PHI_REF:
+                calls = {
+                    pruner: sum(r.diagnostics.total_score_calls for r in results[phi_c, phi_ref, pruner])
+                    for pruner in ("bf", "base", "enhanced")
+                }
+                assert calls["base"] <= calls["bf"]
+                assert calls["enhanced"] <= calls["bf"]
+
+
 class TestExactnessLimit:
     def test_single_partition_full_pool_matches_oracle(self, workload, flat_engine):
         repo, queries, _ = workload
@@ -277,7 +334,7 @@ class TestExactnessLimit:
         k=st.integers(1, 8),
         tau=st.sampled_from([0.3, 0.5, 0.7]),
     )
-    def test_full_pools_match_oracle_topk(self, seed, n_sets, n_c, k, tau):
+    def test_full_pools_match_exact_topk(self, seed, n_sets, n_c, k, tau):
         """Every centroid probed and no pool pressure in stages 1 and 2: the
         partitioned engine's top-k is the exact oracle's top-k.  Few
         centroids for up to ten columns a set put sets on all three
@@ -291,6 +348,6 @@ class TestExactnessLimit:
             k=k, tau=tau, phi_c=engine.codebook.n_c, phi_ref=n_sets, phi_r=n_sets
         )
         got = engine.search(query, params).items
-        want = oracle_topk(query, repo, tau, k)
+        want = exact_topk(query.vectors, repo, tau, k)
         assert [sid for sid, _, _ in got] == [sid for sid, _, _ in want]
         assert all(abs(g[1] - w[1]) <= 1e-9 for g, w in zip(got, want))
