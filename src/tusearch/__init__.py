@@ -2,7 +2,7 @@
 
 from .errors import DataError, InvariantError, TuSearchError, UsageError
 from .matching import MatchingResult, brute_force_unionability, unionability
-from .mwmto import BoundPair, PartitionLayout, bounds_for_mwmto, mwmto_exact, partition_sims
+from .mwmto import BoundPair, bounds_for_mwmto, mwmto_exact, partition_sims
 from .pipeline import SearchEngine, SearchParams, SearchResult, build_engine
 from .pruning import base_prune, enhanced_prune, exhaustive_rank
 from .quantizer import Codebook, assign_all, build_indexes, train_kmeans
@@ -24,7 +24,6 @@ __all__ = [
     "DataError",
     "InvariantError",
     "MatchingResult",
-    "PartitionLayout",
     "QueryTable",
     "SearchEngine",
     "SearchParams",

@@ -6,7 +6,9 @@ index component in little-endian binary form, described by a single
 a sha256 checksum per component file.  Loading verifies the version first
 and every checksum second, before any parsing; a component that then fails
 to decode is a data error too.  Nothing in a bundle depends on wall-clock
-time, so identical builds are byte-identical.
+time, so identical builds are byte-identical.  The decoded partition
+arrays pass ``PartitionIndex.validate``, the same check build runs on its
+own output, before search reads them as they are.
 
 Format v2 stores three index components, each read with ``np.frombuffer``:
 
@@ -84,9 +86,8 @@ def _read_assignment(raw: bytes, n_c: int, repo: VectorSetRepository) -> Cluster
 
 
 def _read_partitions(raw: bytes, n_c: int, repo: VectorSetRepository) -> PartitionIndex:
-    """Decode ``partitions.bin`` and check that every pointer array spans
-    its items, every centroid id has a backing row and every set's groups
-    partition its vectors."""
+    """Decode ``partitions.bin``; ``PartitionIndex.validate`` checks the
+    arrays."""
     if len(raw) < _PARTITION_HEAD:
         raise DataError(f"{_PARTITIONS} is truncated: {len(raw)} bytes")
     rho_low, rho_high = struct.unpack_from("<dd", raw)
@@ -101,30 +102,10 @@ def _read_partitions(raw: bytes, n_c: int, repo: VectorSetRepository) -> Partiti
     pindex = PartitionIndex(
         **arrays, cascade=cascade.reshape(n_cascade, repo.dimension), rho_low=rho_low, rho_high=rho_high
     )
-    n_groups = len(pindex.cid_ptr) - 1
-    for name, items, n_ptr, step in (
-        ("group_ptr", n_groups, repo.n_sets + 1, 0),
-        ("cascade_ptr", n_cascade, repo.n_sets + 1, 0),
-        ("cid_ptr", len(pindex.centroid_ids), n_groups + 1, 1),
-        ("member_ptr", len(pindex.members), n_groups + 1, 1),
-    ):
-        ptr = arrays[name]
-        if len(ptr) != n_ptr or ptr[0] != 0 or ptr[-1] != items or (np.diff(ptr) < step).any():
-            raise DataError(f"{_PARTITIONS}: {name} does not span its items")
-    if not np.isfinite(pindex.cascade).all():
-        raise DataError(f"{_PARTITIONS}: non-finite cascade rows")
-    group_set = np.repeat(np.arange(repo.n_sets), np.diff(pindex.group_ptr))
-    cid_set = np.repeat(group_set, np.diff(pindex.cid_ptr))
-    cids = pindex.centroid_ids
-    if ((cids < 0) | (cids >= n_c + np.diff(pindex.cascade_ptr)[cid_set])).any():
-        raise DataError(f"{_PARTITIONS}: centroid id without a backing row")
-    member_set = np.repeat(group_set, np.diff(pindex.member_ptr))
-    members = pindex.members
-    if ((members < 0) | (members >= repo.sizes()[member_set])).any():
-        raise DataError(f"{_PARTITIONS}: member index outside its set")
-    rows = repo.offsets[member_set] + members
-    if len(rows) != repo.total_vectors or (np.bincount(rows, minlength=len(rows)) != 1).any():
-        raise DataError(f"{_PARTITIONS}: groups do not partition their sets' vectors")
+    try:
+        pindex.validate(repo.offsets, n_c)
+    except DataError as exc:
+        raise DataError(f"{_PARTITIONS}: {exc}") from None
     return pindex
 
 

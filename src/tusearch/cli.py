@@ -129,6 +129,10 @@ def _print_branch_mix(engine) -> None:
 def cmd_search(args) -> int:
     engine = bundle_io.load_bundle(args.bundle)
     query = load_query_table(args.query)
+    # the first assignment solve would import this, and --explain would
+    # report the import in a stage's exact_ms
+    import scipy.optimize  # noqa: F401
+
     result = engine.search(query, _params(args))
     for rank, (sid, score, card) in enumerate(result.items, start=1):
         print(f"{rank}\t{sid}\t{score:.6f}\t{card}")

@@ -6,12 +6,12 @@ taken at most |S| times.  A query vector's similarity to a group is the
 maximum inner product over the group's centroids, and only entries at or
 above the threshold participate.
 
-``PartitionLayout`` reads the flat partition index once: the codebook and
-every set's cascade rows in float64, and per group its centroid ids and
-capacity.  ``partition_sims`` builds the tables of all of a search's
-candidates in one batched pass.  Codebook centroids take their
-similarities from one query-by-codebook product, and only the candidates'
-cascade rows get a product of their own.  Every group takes its first
+``partition_sims`` builds the tables of all of a search's candidates in
+one batched pass over the ``PartitionIndex`` arrays as build writes them
+and the bundle stores them; ``PartitionIndex.validate`` has checked them
+on either path.  Codebook centroids take their similarities from one
+query-by-codebook product, and only the candidates' cascade rows, widened
+to float64, get a product of their own.  Every group takes its first
 centroid's column, and groups of several centroids fold in the rest with
 one ``np.maximum`` per position in the group.  ``matching.row_best`` then
 runs once over all tables: every query vector proposes its best group,
@@ -147,40 +147,6 @@ def _assignment_problems(sims, valid, starts, ends, copies, todo) -> dict[int, t
 
 
 @dataclass(frozen=True)
-class PartitionLayout:
-    """Every set's partition groups, flattened for batched stage 2.
-
-    ``centroids`` is the codebook and ``cascade`` every set's cascade rows
-    in set order, both float64: set ``s`` owns cascade rows
-    ``cascade_ptr[s]:cascade_ptr[s + 1]`` and groups ``group_ptr[s]:
-    group_ptr[s + 1]``.  Group ``g`` lists the entries ``cid_ptr[g]:
-    cid_ptr[g + 1]`` of ``centroid_ids``, each a codebook id or ``n_c + j``
-    for row ``j`` of its set's cascade rows, and holds ``capacities[g]`` of
-    the set's vectors.
-    """
-
-    centroids: np.ndarray
-    cascade: np.ndarray
-    cascade_ptr: np.ndarray
-    centroid_ids: np.ndarray
-    cid_ptr: np.ndarray
-    group_ptr: np.ndarray
-    capacities: np.ndarray
-
-    @classmethod
-    def build(cls, pindex: PartitionIndex, cb: Codebook) -> "PartitionLayout":
-        return cls(
-            centroids=cb.centroids64(),
-            cascade=pindex.cascade.astype(np.float64),
-            cascade_ptr=pindex.cascade_ptr.astype(np.int64),
-            centroid_ids=pindex.centroid_ids.astype(np.int64),
-            cid_ptr=pindex.cid_ptr.astype(np.int64),
-            group_ptr=pindex.group_ptr.astype(np.int64),
-            capacities=np.diff(pindex.member_ptr).astype(np.int64),
-        )
-
-
-@dataclass(frozen=True)
 class MwmtoResult:
     score: float
     cardinality: int
@@ -189,36 +155,39 @@ class MwmtoResult:
 
 
 def partition_sims(
-    q64: np.ndarray, layout: PartitionLayout, set_ids, tau: float
+    q64: np.ndarray, pindex: PartitionIndex, codebook: Codebook, set_ids, tau: float
 ) -> dict[int, PartitionSimTable]:
     """Thresholded max-over-group-centroid similarities of every query
-    vector to every group of each listed set, with each table's row-best
-    matching, bounds and, where it is not ``fit``, assignment problem, all
-    from one batched pass."""
+    vector to every group of each listed set of ``pindex``, with each
+    table's row-best matching, bounds and, where it is not ``fit``,
+    assignment problem, all from one batched pass."""
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
     sids = np.asarray(set_ids, dtype=np.int64)
     if len(sids) == 0:
         return {}
     q64 = np.asarray(q64, dtype=np.float64)
-    group0 = layout.group_ptr[sids]
-    n_groups = layout.group_ptr[sids + 1] - group0
+    group0 = pindex.group_ptr[sids]
+    n_groups = pindex.group_ptr[sids + 1] - group0
     groups = ranges(group0, n_groups)
-    start = layout.cid_ptr[groups]
-    size = layout.cid_ptr[groups + 1] - start
-    n_c = len(layout.centroids)
-    product = q64 @ layout.centroids.T
-    casc0 = layout.cascade_ptr[sids]
-    n_casc = layout.cascade_ptr[sids + 1] - casc0
+    # the int32 ids are gathered, then widened to the index type numpy
+    # would otherwise convert them to on every use below
+    start = pindex.cid_ptr[groups].astype(np.intp)
+    size = pindex.cid_ptr[groups + 1] - start
+    n_c = codebook.n_c
+    product = q64 @ codebook.centroids64().T
+    casc0 = pindex.cascade_ptr[sids]
+    n_casc = pindex.cascade_ptr[sids + 1] - casc0
     lift = None
     if n_casc.any():
         # cascade id n_c + j of a listed set is product column n_c + j plus
         # the cascade rows of the sets listed before it
-        product = np.concatenate((product, q64 @ layout.cascade[ranges(casc0, n_casc)].T), axis=1)
+        rows = pindex.cascade[ranges(casc0, n_casc)].astype(np.float64)
+        product = np.concatenate((product, q64 @ rows.T), axis=1)
         lift = np.repeat(np.cumsum(n_casc) - n_casc, n_groups)
 
     def column(g, j):
-        ids = layout.centroid_ids[start[g] + j]
+        ids = pindex.centroid_ids[start[g] + j].astype(np.intp)
         return ids if lift is None else np.where(ids >= n_c, ids + lift[g], ids)
 
     # take, unlike [:, ids], returns the row-major layout row_best reads
@@ -228,7 +197,8 @@ def partition_sims(
         sims[:, g] = np.maximum(sims[:, g], product[:, column(g, j)])
     valid = sims >= tau
     sims *= valid  # 0 below tau (-0.0 where the product is negative)
-    tables = _side_by_side(sims, valid, layout.capacities[groups], np.cumsum(n_groups) - n_groups)
+    capacities = pindex.member_ptr[groups + 1] - pindex.member_ptr[groups]
+    tables = _side_by_side(sims, valid, capacities, np.cumsum(n_groups) - n_groups)
     return dict(zip(sids.tolist(), tables))
 
 

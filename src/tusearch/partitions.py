@@ -107,13 +107,34 @@ class PartitionIndex:
         cascade = self.cascade[self.cascade_ptr[set_id] : self.cascade_ptr[set_id + 1]]
         return PartitionSet(set_id, groups, cascade)
 
-    def validate(self, offsets: np.ndarray) -> None:
-        """Raise ``DataError`` naming the first set whose members are not a
-        permutation of its vector indices, or that has a group without
-        members or centroids; ``offsets`` are the repository's set offsets."""
+    def validate(self, offsets: np.ndarray, n_c: int) -> None:
+        """Raise ``DataError`` unless this is a partition index of the
+        repository with set offsets ``offsets`` under a codebook of ``n_c``
+        centroids: every pointer array starts at 0, never decreases and
+        ends at the length of what it points into; the cascade rows are
+        finite; every centroid id names a codebook row or one of its own
+        set's cascade rows; each set's members are a permutation of its
+        vector indices; and no group lacks members or centroids.  Build
+        checks its output and the bundle its decoded arrays with this."""
         sizes = np.diff(offsets)
+        n_groups = max(len(self.cid_ptr) - 1, 0)
+        for name, items, n_ptr in (
+            ("group_ptr", n_groups, len(sizes) + 1),
+            ("cascade_ptr", len(self.cascade), len(sizes) + 1),
+            ("cid_ptr", len(self.centroid_ids), n_groups + 1),
+            ("member_ptr", len(self.members), n_groups + 1),
+        ):
+            ptr = getattr(self, name)
+            if len(ptr) != n_ptr or ptr[0] != 0 or ptr[-1] != items or (np.diff(ptr) < 0).any():
+                raise DataError(f"{name} does not span its items")
+        if not np.isfinite(self.cascade).all():
+            raise DataError("non-finite cascade rows")
         set_ids = np.arange(len(sizes))
         group_set = np.repeat(set_ids, np.diff(self.group_ptr))
+        cid_set = np.repeat(group_set, np.diff(self.cid_ptr))
+        unbacked = (self.centroid_ids < 0) | (self.centroid_ids >= n_c + np.diff(self.cascade_ptr)[cid_set])
+        if unbacked.any():
+            raise DataError(f"centroid id without a backing row in set {int(cid_set[np.argmax(unbacked)])}")
         member_set = np.repeat(group_set, np.diff(self.member_ptr))
         inside = (self.members >= 0) & (self.members < sizes[member_set])
         hits = np.bincount(offsets[member_set[inside]] + self.members[inside], minlength=offsets[-1])
@@ -281,5 +302,5 @@ def build_partition_index(
         rho_low=rho_low,
         rho_high=rho_high,
     )
-    pindex.validate(offsets)
+    pindex.validate(offsets, n_c)
     return pindex

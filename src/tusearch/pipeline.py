@@ -5,15 +5,16 @@ Stage 1 takes every query column's top ``phi_c`` centroids from one exact
 flat scan of the codebook and ranks sets by accumulated centroid
 similarities.  Stage 2 keeps the top phi_r of them by the exact
 capacitated many-to-one score against each set's partitions, pruning with
-the row-best bounds; one batched pass over the engine's flat partition
-layout gives the similarity tables of all stage-1 candidates, their
-row-best bounds, their exact scores where every query column's best group
-has room, and the assignment problems of the rest.  Stage 3 scores each
-survivor with the exact thresholded matching against all of the set's
-vectors, pruning with the bounds of ``matching.set_bounds``: one product
-of the query with every survivor's rows gives all of them.
-Queries are independent; every search call builds its own scratch state,
-so one engine serves many threads.
+the row-best bounds; one batched pass over the ``PartitionIndex`` arrays,
+as build wrote them or the bundle stored them and each checked them with
+``PartitionIndex.validate``, gives the similarity tables of all stage-1
+candidates, their row-best bounds, their exact scores where every query
+column's best group has room, and the assignment problems of the rest.
+Stage 3 scores each survivor with the exact thresholded matching against
+all of the set's vectors, pruning with the bounds of
+``matching.set_bounds``: one product of the query with every survivor's
+rows gives all of them.  Queries are independent; every search call
+builds its own scratch state, so one engine serves many threads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import matching
 from .errors import DataError, UsageError
-from .mwmto import BoundPair, PartitionLayout, bounds_for_mwmto, mwmto_exact, partition_sims
+from .mwmto import BoundPair, bounds_for_mwmto, mwmto_exact, partition_sims
 from .partitions import PartitionIndex
 from .pruning import PRUNERS, run_pruner
 from .quantizer import Codebook, ClusterAssignment, top_centroids
@@ -166,7 +167,6 @@ class SearchEngine:
         self.postings = postings
         self.partition_index = partition_index
         self.build_config = dict(build_config or {})
-        self.partition_layout = PartitionLayout.build(partition_index, codebook)
         # Seconds of each build phase, filled by ``build_engine`` and never
         # saved, so identical builds stay byte-identical.
         self.phase_seconds: dict[str, float] = {}
@@ -181,18 +181,6 @@ class SearchEngine:
         return cached
 
     # -- public operations --------------------------------------------------
-
-    def clustered_score(self, query: QueryTable, set_id: int, tau: float) -> tuple[float, int]:
-        """Stage-3 score of one candidate: the exact thresholded matching of
-        the query against all of the set's vectors, as (weight, cardinality)."""
-        self._check_query(query)
-        return self._clustered(_QueryState(query), set_id, tau)
-
-    def clustered_bounds(self, query: QueryTable, set_id: int, tau: float) -> BoundPair:
-        """The ``matching.set_bounds`` pair around ``clustered_score``."""
-        self._check_query(query)
-        lb, ub = matching.set_bounds(query.vectors, self.repo, [set_id], tau)
-        return BoundPair(float(lb[0]), float(ub[0]))
 
     def refine(self, query: QueryTable, params: SearchParams | None = None, trace=None):
         """Run only the first stage; returns (set_id, score) ranked."""
@@ -235,7 +223,7 @@ class SearchEngine:
         t1 = time.perf_counter()
         diag.stage_seconds["refine"] = t1 - t0
 
-        tables = partition_sims(state.q64, self.partition_layout, stage1_ids, tau)
+        tables = partition_sims(state.q64, self.partition_index, self.codebook, stage1_ids, tau)
 
         def filter_score(sid: int) -> float:
             start = time.perf_counter()

@@ -86,10 +86,6 @@ class ClusterAssignment:
     def set_owners(self, set_id: int) -> np.ndarray:
         return self.flat[self.offsets[set_id] : self.offsets[set_id + 1]]
 
-    @property
-    def total(self) -> int:
-        return len(self.flat)
-
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray, p2: np.ndarray) -> np.ndarray:
     # (n, k) squared Euclidean distances, float64 throughout, built in the

@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +25,7 @@ from tusearch.bundle import (
 from tusearch.cli import main
 from tusearch.errors import DataError
 from tusearch.evaluation import ground_truth_rankings, recall
+from tusearch.mwmto import partition_sims
 from tusearch.partitions import dispersion
 from tusearch.pipeline import SearchParams, build_engine
 from tusearch.repository import (
@@ -54,6 +59,27 @@ def saved(sources, tmp_path_factory):
     return save_bundle(tmp_path_factory.mktemp("saved") / "b", engine)
 
 
+def damaged_partition_indexes(engine):
+    """Damaged copies of the engine's partition index, each with a pattern
+    of the ``DataError`` it must raise."""
+    pindex, n_c = engine.partition_index, engine.codebook.n_c
+    duplicated = pindex.members.copy()
+    duplicated[1] = duplicated[0]
+    short_last = pindex.member_ptr.copy()
+    short_last[-1] -= 1
+    return [
+        (match, dataclasses.replace(pindex, **change))
+        for match, change in [
+            ("group_ptr does not span", {"group_ptr": pindex.group_ptr[::-1].copy()}),
+            ("member_ptr does not span", {"member_ptr": short_last}),
+            ("member_ptr does not span", {"member_ptr": pindex.member_ptr[:-1]}),
+            ("centroid id without a backing row", {"centroid_ids": pindex.centroid_ids + n_c}),
+            ("groups of set 0 do not partition its vectors", {"members": pindex.members + 100}),
+            ("groups of set 0 do not partition its vectors", {"members": duplicated}),
+        ]
+    ]
+
+
 def rewrite_component(bundle, name, raw):
     """Replace one component's bytes and record their checksum, so that
     loading gets past verification to the decoder."""
@@ -80,9 +106,6 @@ class TestBundleRoundTrip:
         assert np.array_equal(loaded.assignment.flat, engine.assignment.flat)
         for field in ("ptr", "sets", "counts"):
             assert np.array_equal(getattr(loaded.postings, field), getattr(engine.postings, field))
-        for field in (f.name for f in dataclasses.fields(engine.partition_layout)):
-            want = getattr(engine.partition_layout, field)
-            assert np.array_equal(getattr(loaded.partition_layout, field), want), field
         for field in ("group_ptr", "cascade_ptr", "cid_ptr", "member_ptr", "centroid_ids", "members", "cascade"):
             want = getattr(engine.partition_index, field)
             assert np.array_equal(getattr(loaded.partition_index, field), want), field
@@ -136,27 +159,49 @@ class TestBundleRoundTrip:
 
     def test_partition_arrays_are_checked_on_load(self, saved, tmp_path):
         engine = load_bundle(saved)
-        pindex, n_c = engine.partition_index, engine.codebook.n_c
-        duplicated = pindex.members.copy()
-        duplicated[1] = duplicated[0]
-        short_last = pindex.member_ptr.copy()
-        short_last[-1] -= 1
-        for match, change in {
-            "group_ptr does not span": {"group_ptr": pindex.group_ptr[::-1].copy()},
-            "member_ptr does not span": {"member_ptr": short_last},
-            "centroid id without a backing row": {"centroid_ids": pindex.centroid_ids + n_c},
-            "member index outside its set": {"members": pindex.members + 100},
-            "groups do not partition": {"members": duplicated},
-        }.items():
-            bundle = shutil.copytree(saved, tmp_path / match.replace(" ", "_"))
-            damaged = SimpleNamespace(
-                partition_index=dataclasses.replace(pindex, **change),
-                codebook=engine.codebook,
-                assignment=engine.assignment,
-            )
+        for i, (match, pindex) in enumerate(damaged_partition_indexes(engine)):
+            bundle = shutil.copytree(saved, tmp_path / str(i))
+            damaged = SimpleNamespace(partition_index=pindex, codebook=engine.codebook, assignment=engine.assignment)
             rewrite_component(bundle, "partitions.bin", index_components(damaged)["partitions.bin"])
             with pytest.raises(DataError, match=match):
                 load_bundle(bundle)
+
+    def test_damaged_partition_index_fails_validation(self, saved):
+        engine = load_bundle(saved)
+        for match, pindex in damaged_partition_indexes(engine):
+            with pytest.raises(DataError, match=match):
+                pindex.validate(engine.repo.offsets, engine.codebook.n_c)
+
+    def test_loaded_bundle_builds_the_same_stage_2_tables(self, tmp_path):
+        # 3 merge, 51 plain and 6 cascade sets, with merged groups of two
+        # centroids
+        data = generate_synthetic(60, (1, 30), 8, 3, 0.02, seed=17)
+        engine = build_engine(data.repository, n_c=6, seed=3)
+        loaded = load_bundle(save_bundle(tmp_path / "b", engine))
+        params = SearchParams(k=5, tau=0.6, phi_c=4, phi_ref=40, phi_r=15)
+        pindex = engine.partition_index
+        has_cascade = np.diff(pindex.cascade_ptr) > 0
+        has_merged = [any(len(g.centroid_ids) > 1 for g in pindex.of(s).groups) for s in range(pindex.n_sets)]
+        solved = cascade = merged = 0
+        for sid in range(0, 60, 6):
+            query = QueryTable(data.repository.vectors_of(sid))
+            ids = [s for s, _ in engine.refine(query, params)]
+            assert [s for s, _ in loaded.refine(query, params)] == ids
+            q64 = query.vectors.astype(np.float64)
+            built = partition_sims(q64, pindex, engine.codebook, ids, params.tau)
+            again = partition_sims(q64, loaded.partition_index, loaded.codebook, ids, params.tau)
+            for s in ids:
+                a, b = built[s], again[s]
+                for name in ("sims", "valid", "choice"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                assert (a.lb, a.ub) == (b.lb, b.ub)
+                assert (a.profit is None) == (b.profit is None)
+                if a.profit is not None:
+                    assert np.array_equal(a.profit, b.profit) and np.array_equal(a.groups, b.groups)
+                    solved += 1
+                cascade += bool(has_cascade[s])
+                merged += has_merged[s]
+        assert solved > 0 and cascade > 0 and merged > 0
 
     def test_legacy_graph_component_is_verified_then_ignored(self, saved, sources, tmp_path):
         # bundles from before the centroid graph was removed may list graph.bin
@@ -367,6 +412,28 @@ class TestCli:
         assert branch_mix() == single
         assert main(["inspect", "--bundle", str(tmp_path / "b6")]) == 0
         assert branch_mix() == single
+
+    def test_search_imports_the_solver_before_it_searches(self, sources, saved):
+        """A fresh ``search`` process has ``scipy.optimize`` loaded when the
+        search starts, so ``--explain`` times no import in ``exact_ms``."""
+        script = "\n".join([
+            "import sys",
+            "from tusearch import cli",
+            "from tusearch.pipeline import SearchEngine",
+            "search, seen = SearchEngine.search, []",
+            "def recording(self, *args, **kwargs):",
+            "    seen.append('scipy.optimize' in sys.modules)",
+            "    return search(self, *args, **kwargs)",
+            "SearchEngine.search = recording",
+            "code = cli.main(['search', '--bundle', sys.argv[1], '--query', sys.argv[2], '--explain'])",
+            "print(code, seen)",
+        ])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script, str(saved), str(sources[2])],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 [True]"
 
     def test_synth_rejects_negative_queries(self, tmp_path, capsys):
         out = tmp_path / "w"

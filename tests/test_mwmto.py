@@ -15,7 +15,6 @@ from tusearch.errors import InvariantError
 from tusearch.matching import assignment_shift, solve_shifted_assignment, unionability
 from tusearch.mwmto import (
     BoundPair,
-    PartitionLayout,
     PartitionSimTable,
     bounds_for_mwmto,
     mwmto_exact,
@@ -83,9 +82,8 @@ def random_sparse_table(rng, tau=0.5):
     return table_from(rows, caps)
 
 
-def one_set_layout(cb, groups, cascade):
-    pindex = PartitionIndex.pack([PartitionSet(0, groups, cascade)], 0.2, 0.8)
-    return PartitionLayout.build(pindex, cb)
+def one_set_index(groups, cascade):
+    return PartitionIndex.pack([PartitionSet(0, groups, cascade)], 0.2, 0.8)
 
 
 def random_partition_index(rng, cb, n_sets, d, max_centroids=3):
@@ -126,43 +124,43 @@ class TestPartitionSims:
             PartitionGroup(0, (1, 2), np.array([0, 1])),
             PartitionGroup(1, (0,), np.array([2])),
         ]
-        return cb, one_set_layout(cb, groups, np.empty((0, 3), dtype=np.float32))
+        return cb, one_set_index(groups, np.empty((0, 3), dtype=np.float32))
 
     def test_max_over_group_centroids(self):
-        cb, layout = self.make()
+        cb, pindex = self.make()
         q = np.array([[0.0, 1.0, 0.0]])
-        table = partition_sims(q, layout, [0], tau=0.5)[0]
+        table = partition_sims(q, pindex, cb, [0], tau=0.5)[0]
         # group 0 sims: <q,c1>=0.0, <q,c2>=0.75 -> max 0.75; group 1 below tau
         assert table.valid.tolist() == [[True, False]]
         assert table.sims[0].tolist() == pytest.approx([0.75, 0.0], abs=1e-9)
         assert table.capacities.tolist() == [2, 1]
 
     def test_all_below_tau_gives_empty_row(self):
-        cb, layout = self.make()
+        cb, pindex = self.make()
         q = np.array([[0.0, 0.0, 1.0]])
-        table = partition_sims(q, layout, [0], tau=0.5)[0]
+        table = partition_sims(q, pindex, cb, [0], tau=0.5)[0]
         assert not table.valid.any()
         assert table.sims.tolist() == [[0.0, 0.0]]
 
     def test_singleton_group_is_plain_inner_product(self):
-        cb, layout = self.make()
+        cb, pindex = self.make()
         q = np.array([[1.0, 0.0, 0.0]])
-        table = partition_sims(q, layout, [0], tau=0.5)[0]
+        table = partition_sims(q, pindex, cb, [0], tau=0.5)[0]
         assert table.valid[0, 1]
         assert table.sims[0, 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_cascade_centroids_resolved(self):
         cb, _ = self.make()
         cascade = np.array([[0.0, 0.0, 0.9]], dtype=np.float32)
-        layout = one_set_layout(cb, [PartitionGroup(0, (cb.n_c,), np.array([0]))], cascade)
+        pindex = one_set_index([PartitionGroup(0, (cb.n_c,), np.array([0]))], cascade)
         q = np.array([[0.0, 0.0, 1.0]])
-        table = partition_sims(q, layout, [0], tau=0.5)[0]
+        table = partition_sims(q, pindex, cb, [0], tau=0.5)[0]
         assert table.valid.tolist() == [[True]]
         assert table.sims[0, 0] == pytest.approx(0.9, abs=1e-6)
 
 
 class TestBatchedTables:
-    """One batched product over the flat layout against the per-group
+    """One batched product over the partition index against the per-group
     reference loop."""
 
     def test_tables_equal_per_group_reference(self):
@@ -171,12 +169,11 @@ class TestBatchedTables:
             d = int(rng.integers(2, 6))
             cb = Codebook(random_unit_rows(rng, int(rng.integers(1, 9)), d), train_seed=0)
             pindex = random_partition_index(rng, cb, int(rng.integers(1, 13)), d)
-            layout = PartitionLayout.build(pindex, cb)
             q = random_unit_rows(rng, int(rng.integers(1, 7)), d).astype(np.float64)
             tau = float(rng.uniform(0.05, 0.6))
             n_sets = pindex.n_sets
             pick = rng.permutation(n_sets)[: int(rng.integers(1, n_sets + 1))].tolist()
-            tables = partition_sims(q, layout, pick, tau)
+            tables = partition_sims(q, pindex, cb, pick, tau)
             assert sorted(tables) == sorted(pick)
             for sid in pick:
                 pset = pindex.of(sid)
@@ -198,8 +195,8 @@ class TestBatchedTables:
     def test_no_candidates_gives_no_tables(self):
         rng = np.random.default_rng(22)
         cb = Codebook(random_unit_rows(rng, 4, 3), train_seed=0)
-        layout = PartitionLayout.build(random_partition_index(rng, cb, 3, 3), cb)
-        assert partition_sims(random_unit_rows(rng, 2, 3), layout, [], 0.5) == {}
+        pindex = random_partition_index(rng, cb, 3, 3)
+        assert partition_sims(random_unit_rows(rng, 2, 3), pindex, cb, [], 0.5) == {}
 
     def test_greedy_equals_reference_on_batched_tables(self):
         """The row-best matching behind each batched table's lower bound
@@ -208,9 +205,8 @@ class TestBatchedTables:
         for _ in range(40):
             cb = Codebook(random_unit_rows(rng, 6, 3), train_seed=0)
             pindex = random_partition_index(rng, cb, 9, 3)
-            layout = PartitionLayout.build(pindex, cb)
             q = random_unit_rows(rng, int(rng.integers(1, 8)), 3)
-            for table in partition_sims(q, layout, range(9), 0.2).values():
+            for table in partition_sims(q, pindex, cb, range(9), 0.2).values():
                 rows = rows_of(table)
                 assert row_best_of(table) == reference_row_best(rows, table.capacities.tolist())
 
@@ -249,9 +245,8 @@ class TestBatchedTables:
         for _ in range(60):
             cb = Codebook(random_unit_rows(rng, 8, 4), train_seed=0)
             pindex = random_partition_index(rng, cb, 12, 4)
-            layout = PartitionLayout.build(pindex, cb)
             q = random_unit_rows(rng, int(rng.integers(1, 9)), 4)
-            for table in partition_sims(q, layout, range(12), float(rng.uniform(0.1, 0.6))).values():
+            for table in partition_sims(q, pindex, cb, range(12), float(rng.uniform(0.1, 0.6))).values():
                 res = mwmto_exact(table)
                 assert res.row_best == table.fit
                 if table.fit:
@@ -271,16 +266,15 @@ class TestBatchedTables:
     def check_against_references(self, rng, max_centroids):
         """Every batched table equals the per-group reference, and its exact
         score the solver's on its trimmed expansion, with ==.  Returns the
-        layouts' largest group and the fit and solved tables seen."""
+        indexes' largest group and the fit and solved tables seen."""
         largest = fits = solved = 0
         for _ in range(40):
             cb = Codebook(random_unit_rows(rng, 8, 4), train_seed=0)
             pindex = random_partition_index(rng, cb, 9, 4, max_centroids)
-            layout = PartitionLayout.build(pindex, cb)
-            largest = max(largest, int(np.diff(layout.cid_ptr).max()))
+            largest = max(largest, int(np.diff(pindex.cid_ptr).max()))
             q = random_unit_rows(rng, int(rng.integers(1, 12)), 4)
             tau = float(rng.uniform(0.05, 0.5))
-            for sid, table in partition_sims(q, layout, range(9), tau).items():
+            for sid, table in partition_sims(q, pindex, cb, range(9), tau).items():
                 want = reference_partition_sims(q, pindex.of(sid), cb, tau)
                 for g_rows, w_rows in zip(rows_of(table), want):
                     assert [g for g, _ in g_rows] == [g for g, _ in w_rows]
@@ -423,9 +417,9 @@ class TestBounds:
         rng = np.random.default_rng(13)
         for _ in range(40):
             cb = Codebook(random_unit_rows(rng, 6, 3), train_seed=0)
-            layout = PartitionLayout.build(random_partition_index(rng, cb, 9, 3), cb)
+            pindex = random_partition_index(rng, cb, 9, 3)
             q = random_unit_rows(rng, int(rng.integers(1, 7)), 3)
-            for table in partition_sims(q, layout, range(9), 0.6).values():
+            for table in partition_sims(q, pindex, cb, range(9), 0.6).values():
                 _, weight = enumerate_mwmto(rows_of(table), table.capacities.tolist())
                 bounds = bounds_for_mwmto(table)
                 assert bounds.lb <= weight + 1e-9
@@ -540,7 +534,7 @@ def test_trimmed_expansion_matches_enumeration(case):
 
 @st.composite
 def mixed_batches(draw):
-    """A partition layout and query whose tables mix fit and contested
+    """A partition index, codebook and query whose tables mix fit and contested
     ones: groups of one to five centroids, cascade rows next to codebook
     rows, tied similarities from a coarse grid, groups no query vector
     reaches and query vectors with no valid entry."""
@@ -562,16 +556,16 @@ def mixed_batches(draw):
             for gid in range(draw(st.integers(1, 5)))
         ]
         psets.append(PartitionSet(sid, groups, cascade))
-    layout = PartitionLayout.build(PartitionIndex.pack(psets, 0.2, 0.8), Codebook(rows(n_c), train_seed=0))
+    cb = Codebook(rows(n_c), train_seed=0)
     q = rows(draw(st.integers(1, 8))).astype(np.float64)
-    return layout, q, draw(st.sampled_from([0.05, 0.25, 0.5, 0.75]))
+    return PartitionIndex.pack(psets, 0.2, 0.8), cb, q, draw(st.sampled_from([0.05, 0.25, 0.5, 0.75]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(mixed_batches())
 def test_batched_solve_equals_the_expanded_solver(case):
-    layout, q, tau = case
-    tables = partition_sims(q, layout, range(len(layout.group_ptr) - 1), tau)
+    pindex, cb, q, tau = case
+    tables = partition_sims(q, pindex, cb, range(pindex.n_sets), tau)
     for table in tables.values():
         res, ref = mwmto_exact(table), solver_result(table)
         assert (res.score, res.cardinality) == (ref.weight, ref.cardinality)

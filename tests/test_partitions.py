@@ -269,7 +269,7 @@ class TestValidate:
 
     def test_built_index_passes(self):
         pindex, offsets = self.index()
-        pindex.validate(offsets)
+        pindex.validate(offsets, 12)
 
     @pytest.mark.parametrize("change, message", [
         ({"members": [0, 0, 2, 3, 4, 5, 6, 7, 0, 1, 2]}, "groups of set 0 do not partition its vectors"),
@@ -278,10 +278,21 @@ class TestValidate:
         ({"members": [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 3]}, "groups of set 1 do not partition its vectors"),
         ({"cid_ptr": [0, 1, 1, 3, 4, 5]}, "empty group in set 0"),
         ({"member_ptr": [0, 2, 4, 8, 11, 11]}, "empty group in set 1"),
+        ({"group_ptr": [5, 3, 0]}, "group_ptr does not span its items"),
+        ({"group_ptr": [0, 3]}, "group_ptr does not span its items"),
+        ({"member_ptr": [0, 2, 4, 8, 9]}, "member_ptr does not span its items"),
+        ({"member_ptr": [0, 4, 2, 8, 9, 11]}, "member_ptr does not span its items"),
+        ({"cid_ptr": [1, 1, 2, 3, 4, 5]}, "cid_ptr does not span its items"),
+        ({"cascade_ptr": [0, 0, 1]}, "cascade_ptr does not span its items"),
+        ({"cascade_ptr": [0, 0, 1], "cascade": [[np.nan] * 6]}, "non-finite cascade rows"),
+        ({"centroid_ids": [3, 7, 9, 1, 12]}, "centroid id without a backing row in set 1"),
+        ({"centroid_ids": [3, -1, 9, 1, 2]}, "centroid id without a backing row in set 0"),
     ])
     def test_damaged_index_is_a_data_error(self, change, message):
         pindex, offsets = self.index()
         assert pindex.group_ptr.tolist() == [0, 3, 5]
-        damaged = dataclasses.replace(pindex, **{k: np.array(v, dtype=np.int32) for k, v in change.items()})
+        damaged = dataclasses.replace(pindex, **{
+            k: np.array(v, dtype=np.float32 if k == "cascade" else np.int32) for k, v in change.items()
+        })
         with pytest.raises(DataError, match=message):
-            damaged.validate(offsets)
+            damaged.validate(offsets, 12)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tusearch.errors import DataError, UsageError
 from tusearch.evaluation import BenchConfig, make_workload
-from tusearch.matching import BRUTE_FORCE_MAX_SIDE, brute_force_unionability, exact_topk, unionability
+from tusearch.matching import BRUTE_FORCE_MAX_SIDE, brute_force_unionability, exact_topk, set_bounds, unionability
 from tusearch.pipeline import SearchParams, build_engine
 from tusearch.repository import QueryTable, generate_synthetic, split_repository
 
@@ -30,8 +30,8 @@ def flat_engine(workload):
 def brute_force_clustered_topk(engine, query, tau, k):
     scored = []
     for sid in range(engine.repo.n_sets):
-        score, card = engine.clustered_score(query, sid, tau)
-        scored.append((sid, score, card))
+        res = unionability(query.vectors, engine.repo.vectors_of(sid), tau)
+        scored.append((sid, res.weight, res.cardinality))
     scored.sort(key=lambda t: (-t[1], -t[2], t[0]))
     return scored[:k]
 
@@ -81,18 +81,23 @@ class TestParams:
 
 class TestClusteredScoring:
     def test_single_partition_equals_exact_unionability(self, workload, flat_engine):
+        # every set a single-partition engine returns carries the exact
+        # thresholded matching of the query against all of its vectors
         repo, queries, _ = workload
+        n = repo.n_sets
+        params = SearchParams(k=n, tau=0.7, phi_c=16, phi_ref=n, phi_r=n, pruner="bf")
         for query in queries[:6]:
-            for sid in (0, 17, 42):
-                score, card = flat_engine.clustered_score(query, sid, 0.7)
+            items = flat_engine.search(query, params).items
+            assert len(items) >= 20
+            for sid, score, card in items:
                 want = unionability(query.vectors, repo.vectors_of(sid), 0.7)
                 assert score == pytest.approx(want.weight, abs=1e-9)
                 assert card == want.cardinality
 
     def test_partitioned_score_matches_whole_set_enumeration(self, workload):
-        # the partitioned engine scores stage 3 over the whole set, so it
-        # equals the independent exhaustive matcher on all of the set's vectors
-        repo, queries, engine = workload
+        # stage 3 scores a set with unionability over all of its vectors,
+        # which equals the independent exhaustive matcher
+        repo, queries, _ = workload
         tau = 0.6
         rng = np.random.default_rng(0)
         checked = 0
@@ -102,44 +107,44 @@ class TestClusteredScoring:
                 members = repo.vectors_of(sid)
                 if min(len(members), query.n_vectors) > BRUTE_FORCE_MAX_SIDE:
                     continue
-                score, card = engine.clustered_score(query, sid, tau)
+                got = unionability(query.vectors, members, tau)
                 want = brute_force_unionability(query.vectors, members, tau)
-                assert score == pytest.approx(want.weight, abs=1e-9)
-                assert card == want.cardinality
+                assert got.weight == pytest.approx(want.weight, abs=1e-9)
+                assert got.cardinality == want.cardinality
                 checked += 1
         assert checked >= 20
 
     def test_empty_split_contributes_zero(self, workload):
-        _, queries, engine = workload
+        repo, queries, _ = workload
         # a tau so high that nothing matches
-        score, card = engine.clustered_score(queries[0], 3, 0.999999)
-        assert score == 0.0 and card == 0
+        res = unionability(queries[0].vectors, repo.vectors_of(3), 0.999999)
+        assert res.weight == 0.0 and res.cardinality == 0
 
     def test_unknown_set_id(self, workload):
-        _, queries, engine = workload
+        repo, queries, _ = workload
         with pytest.raises(DataError, match="unknown set_id"):
-            engine.clustered_score(queries[0], 10_000, 0.7)
+            unionability(queries[0].vectors, repo.vectors_of(10_000), 0.7)
+        with pytest.raises(DataError, match="unknown set_id"):
+            set_bounds(queries[0].vectors, repo, [10_000], 0.7)
 
 
 class TestClusteredBounds:
     def test_ub_dominates_exact_per_candidate(self, workload):
-        repo, queries, engine = workload
+        repo, queries, _ = workload
         rng = np.random.default_rng(1)
         for query in queries[:5]:
             for sid in rng.choice(repo.n_sets, size=8, replace=False):
                 sid = int(sid)
-                score, _ = engine.clustered_score(query, sid, 0.6)
-                bounds = engine.clustered_bounds(query, sid, 0.6)
-                assert score <= bounds.ub + 1e-9
-                assert bounds.lb <= bounds.ub + 1e-9
+                score = unionability(query.vectors, repo.vectors_of(sid), 0.6).weight
+                (lb,), (ub,) = set_bounds(query.vectors, repo, [sid], 0.6)
+                assert score <= ub + 1e-9
+                assert lb <= ub + 1e-9
 
     def test_single_edge_partition_bounds_collapse(self):
         data = generate_synthetic(3, (1, 1), 8, 3, 0.0, seed=3)
-        engine = build_engine(data.repository, n_c=2, seed=1, single_partition=True)
-        query = QueryTable(data.repository.vectors_of(0))
-        bounds = engine.clustered_bounds(query, 0, 0.5)
-        assert bounds.lb == pytest.approx(bounds.ub, abs=1e-9)
-        assert bounds.ub == pytest.approx(1.0, abs=1e-6)
+        (lb,), (ub,) = set_bounds(data.repository.vectors_of(0), data.repository, [0], 0.5)
+        assert lb == pytest.approx(ub, abs=1e-9)
+        assert ub == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSearch:
