@@ -2,26 +2,26 @@
 
 A bundle is a directory holding the canonical repository export plus every
 index component in little-endian binary form, described by a single
-``bundle.json`` carrying the format version, the build configuration, and
-a sha256 checksum per component file.  Loading verifies the version first
-and every checksum second, before any parsing; a component that then fails
-to decode is a data error too.  Nothing in a bundle depends on wall-clock
-time, so identical builds are byte-identical.  The decoded partition
-arrays pass ``PartitionIndex.validate``, the same check build runs on its
-own output, before search reads them as they are.
+``bundle.json`` carrying the format version, ``config`` (the engine's
+``build_config``: exactly the five build settings) and ``checksums`` (a
+sha256 per component file, the one list of components).  Loading checks
+that metadata first, then verifies every checksum, before any parsing; a
+component that then fails to decode is a data error too.  Nothing in a
+bundle depends on wall-clock time, so identical builds are byte-identical.
+The decoded partition arrays pass ``PartitionIndex.validate``, the same
+check build runs on its own output, before search reads them as they are.
 
-Format v2 stores three index components, each read with ``np.frombuffer``:
+Format v3 stores three index components, each read with ``np.frombuffer``:
 
 * ``codebook.f32``: the centroid matrix;
 * ``assignment.i32``: the owner centroid of every repository vector, in row
   order; the per-centroid postings are rebuilt from it on load;
-* ``partitions.bin``: ``rho_low`` and ``rho_high`` as float64, then as
-  int32 the lengths of the ``PartitionIndex`` arrays ``group_ptr``,
-  ``cascade_ptr``, ``cid_ptr``, ``member_ptr``, ``centroid_ids`` and
-  ``members`` and the number of cascade rows, then those arrays as int32
-  and the cascade rows as float32.
+* ``partitions.bin``: as int32 the lengths of the ``PartitionIndex`` arrays
+  ``group_ptr``, ``cascade_ptr``, ``cid_ptr``, ``member_ptr``,
+  ``centroid_ids`` and ``members`` and the number of cascade rows, then
+  those arrays as int32 and the cascade rows as float32.
 
-Components that ``bundle.json`` lists beyond these are verified and then
+Components that ``checksums`` names beyond these are verified and then
 ignored.  A bundle of another format version is a data error; it must be
 rebuilt.
 """
@@ -30,28 +30,29 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-from .partitions import PartitionIndex
+from .errors import DataError, UsageError
+from .partitions import PartitionIndex, check_thresholds
 from .pipeline import SearchEngine
 from .quantizer import ClusterAssignment, Codebook, build_indexes
 from .repository import VectorSetRepository, ingest_repository, write_repository
 
 FORMAT_NAME = "tusearch-bundle"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _REPO_STEM = "repository"
 _CODEBOOK = "codebook.f32"
 _ASSIGNMENT = "assignment.i32"
 _PARTITIONS = "partitions.bin"
 _META = "bundle.json"
+_COMPONENTS = (f"{_REPO_STEM}.tsv", f"{_REPO_STEM}.f32", _CODEBOOK, _ASSIGNMENT, _PARTITIONS)
+_CONFIG_KEYS = ("n_c", "seed", "rho_low", "rho_high", "single_partition")
 
 _PARTITION_ARRAYS = ("group_ptr", "cascade_ptr", "cid_ptr", "member_ptr", "centroid_ids", "members")
-_PARTITION_HEAD = 16 + 4 * (len(_PARTITION_ARRAYS) + 1)
+_PARTITION_HEAD = 4 * (len(_PARTITION_ARRAYS) + 1)
 
 
 def _sha256(path: Path) -> str:
@@ -67,8 +68,7 @@ def index_components(engine: SearchEngine) -> dict[str, bytes]:
     pindex = engine.partition_index
     arrays = [getattr(pindex, name) for name in _PARTITION_ARRAYS]
     lengths = np.array([len(a) for a in arrays] + [len(pindex.cascade)], dtype="<i4")
-    partitions = struct.pack("<dd", pindex.rho_low, pindex.rho_high) + lengths.tobytes()
-    partitions += b"".join(a.astype("<i4").tobytes() for a in arrays)
+    partitions = lengths.tobytes() + b"".join(a.astype("<i4").tobytes() for a in arrays)
     return {
         _CODEBOOK: engine.codebook.centroids.astype("<f4").tobytes(),
         _ASSIGNMENT: engine.assignment.flat.astype("<i4").tobytes(),
@@ -90,8 +90,7 @@ def _read_partitions(raw: bytes, n_c: int, repo: VectorSetRepository) -> Partiti
     arrays."""
     if len(raw) < _PARTITION_HEAD:
         raise DataError(f"{_PARTITIONS} is truncated: {len(raw)} bytes")
-    rho_low, rho_high = struct.unpack_from("<dd", raw)
-    *lengths, n_cascade = np.frombuffer(raw, dtype="<i4", count=len(_PARTITION_ARRAYS) + 1, offset=16).tolist()
+    *lengths, n_cascade = np.frombuffer(raw, dtype="<i4", count=len(_PARTITION_ARRAYS) + 1).tolist()
     n_ints = sum(lengths)
     expect = _PARTITION_HEAD + 4 * (n_ints + n_cascade * repo.dimension)
     if min(lengths + [n_cascade]) < 0 or len(raw) != expect:
@@ -99,9 +98,7 @@ def _read_partitions(raw: bytes, n_c: int, repo: VectorSetRepository) -> Partiti
     ints = np.frombuffer(raw, dtype="<i4", count=n_ints, offset=_PARTITION_HEAD)
     arrays = dict(zip(_PARTITION_ARRAYS, np.split(ints, np.cumsum(lengths[:-1]))))
     cascade = np.frombuffer(raw, dtype="<f4", offset=_PARTITION_HEAD + 4 * n_ints)
-    pindex = PartitionIndex(
-        **arrays, cascade=cascade.reshape(n_cascade, repo.dimension), rho_low=rho_low, rho_high=rho_high
-    )
+    pindex = PartitionIndex(**arrays, cascade=cascade.reshape(n_cascade, repo.dimension))
     try:
         pindex.validate(repo.offsets, n_c)
     except DataError as exc:
@@ -114,27 +111,37 @@ def save_bundle(directory, engine: SearchEngine) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_repository(engine.repo, directory, stem=_REPO_STEM)
-    components = [f"{_REPO_STEM}.tsv", f"{_REPO_STEM}.f32"]
     for name, raw in index_components(engine).items():
         (directory / name).write_bytes(raw)
-        components.append(name)
-    config = dict(engine.build_config)
-    config.setdefault("n_c", engine.codebook.n_c)
-    config.setdefault("seed", engine.codebook.train_seed)
     meta = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "config": config,
-        "components": components,
-        "checksums": {name: _sha256(directory / name) for name in components},
+        "config": engine.build_config,
+        "checksums": {name: _sha256(directory / name) for name in _COMPONENTS},
     }
     (directory / _META).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return directory
 
 
+def _check_config(config: dict) -> None:
+    """Raise ``DataError`` unless ``config`` holds exactly the five build
+    settings: ``n_c`` and ``seed`` integers, thresholds that pass
+    ``check_thresholds`` and a boolean ``single_partition``."""
+    if set(config) != set(_CONFIG_KEYS):
+        raise DataError(f"bundle config must hold exactly {', '.join(_CONFIG_KEYS)}, got {', '.join(config)}")
+    for key, kind in (("n_c", int), ("seed", int), ("single_partition", bool)):
+        if type(config[key]) is not kind:
+            raise DataError(f"bundle config {key} must be {kind.__name__}, got {config[key]!r}")
+    try:
+        check_thresholds(config["rho_low"], config["rho_high"])
+    except UsageError as exc:
+        raise DataError(f"bundle config: {exc}") from None
+
+
 def _read_meta(directory: Path) -> dict:
-    """Parse ``bundle.json``; anything but a current-format object carrying
-    config, components and checksums is a data error."""
+    """Parse and check ``bundle.json``: a current-format object whose
+    checksums name plain files, among them every component load reads, and
+    whose config passes ``_check_config``; anything else is a data error."""
     meta_path = directory / _META
     if not meta_path.is_file():
         raise DataError(f"not a bundle (missing {_META}): {directory}")
@@ -149,9 +156,16 @@ def _read_meta(directory: Path) -> dict:
             f"bundle format mismatch: found {meta.get('format')!r} v{meta.get('version')!r}, "
             f"expected {FORMAT_NAME!r} v{FORMAT_VERSION}"
         )
-    for key, kind in (("config", dict), ("components", list), ("checksums", dict)):
-        if not isinstance(meta.get(key), kind):
-            raise DataError(f"{meta_path} lacks a {kind.__name__} {key!r}")
+    for key in ("config", "checksums"):
+        if not isinstance(meta.get(key), dict):
+            raise DataError(f"{meta_path} lacks a dict {key!r}")
+    for name in meta["checksums"]:
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise DataError(f"bundle component {name!r} is not a file name in the bundle directory")
+    missing = [name for name in _COMPONENTS if name not in meta["checksums"]]
+    if missing:
+        raise DataError(f"bundle checksums lack {', '.join(missing)}")
+    _check_config(meta["config"])
     return meta
 
 
@@ -167,15 +181,13 @@ def load_bundle(directory) -> SearchEngine:
         if got != expect:
             raise DataError(f"bundle checksum mismatch for {name}: {got} != {expect}")
     config = meta["config"]
-    n_c, seed = config.get("n_c"), config.get("seed", 0)
-    if not all(type(v) is int for v in (n_c, seed)):
-        raise DataError(f"bundle config n_c and seed must be integers, got {n_c!r} and {seed!r}")
+    n_c = config["n_c"]
     repo = ingest_repository(directory / f"{_REPO_STEM}.tsv")
     raw = (directory / _CODEBOOK).read_bytes()
     if len(raw) != 4 * n_c * repo.dimension:
         raise DataError(f"{_CODEBOOK} holds {len(raw)} bytes, not {n_c} x {repo.dimension} float32")
     centroids = np.frombuffer(raw, dtype="<f4").reshape(n_c, repo.dimension)
-    codebook = Codebook(centroids, train_seed=seed)
+    codebook = Codebook(centroids, train_seed=config["seed"])
     assignment = _read_assignment((directory / _ASSIGNMENT).read_bytes(), n_c, repo)
     pindex = _read_partitions((directory / _PARTITIONS).read_bytes(), n_c, repo)
     return SearchEngine(repo, codebook, assignment, build_indexes(assignment, n_c), pindex, config)
@@ -185,4 +197,4 @@ def component_sizes(directory) -> dict[str, int]:
     """On-disk byte size per bundle component."""
     directory = Path(directory)
     meta = _read_meta(directory)
-    return {name: (directory / name).stat().st_size for name in meta["components"]}
+    return {name: (directory / name).stat().st_size for name in meta["checksums"]}

@@ -113,15 +113,15 @@ def cmd_build(args) -> int:
 
 def _print_branch_mix(engine) -> None:
     """Sets per partition branch by the dispersion rule, or one ``single``
-    line for a single-partition build.  A set's distinct owning centroids
-    are its posting slots."""
-    n_sets = engine.repo.n_sets
-    if engine.build_config.get("single_partition"):
+    line for a single-partition build, with the settings of
+    ``build_config``.  A set's distinct owning centroids are its posting
+    slots."""
+    n_sets, config = engine.repo.n_sets, engine.build_config
+    if config["single_partition"]:
         print(f"partition_branch\tsingle\t{n_sets}")
         return
-    pindex = engine.partition_index
     distinct = np.bincount(engine.postings.sets, minlength=n_sets)
-    branch = branch_of(distinct, engine.repo.sizes(), pindex.rho_low, pindex.rho_high)
+    branch = branch_of(distinct, engine.repo.sizes(), config["rho_low"], config["rho_high"])
     for name, count in zip(BRANCHES, np.bincount(branch, minlength=len(BRANCHES))):
         print(f"partition_branch\t{name}\t{count}")
 
@@ -175,8 +175,7 @@ def cmd_inspect(args) -> int:
     print(f"dimension\t{repo.dimension}")
     print(f"n_c\t{engine.codebook.n_c}")
     for key in ("rho_low", "rho_high", "seed", "single_partition"):
-        if key in engine.build_config:
-            print(f"config\t{key}\t{engine.build_config[key]}")
+        print(f"config\t{key}\t{engine.build_config[key]}")
     # a set's distinct owning centroids are its posting slots
     slots = engine.postings.sets
     rhos = np.bincount(slots, minlength=repo.n_sets) / repo.sizes()

@@ -204,13 +204,17 @@ def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts) -> RowBest
 
 def _bounded_product(q_mat: np.ndarray, repo, sids: np.ndarray, tau: float):
     """The query's product with the listed sets' gathered rows, 0 below tau;
-    its valid mask; and each set's first column in it."""
+    its valid mask; and each set's first column in it.  A query of another
+    dimension than the repository's is a data error."""
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
+    q_mat = np.asarray(q_mat)
+    if q_mat.shape[-1] != repo.dimension:
+        raise DataError(f"dimension mismatch: {q_mat.shape[-1]} vs {repo.dimension}")
     start = repo.offsets[sids]
     sizes = repo.offsets[sids + 1] - start
     seg = np.cumsum(sizes) - sizes
-    sims = _sim_matrix(np.asarray(q_mat), repo.matrix[ranges(start, sizes)])
+    sims = _sim_matrix(q_mat, repo.matrix[ranges(start, sizes)])
     valid = sims >= tau
     sims[~valid] = 0.0
     return sims, valid, seg

@@ -12,7 +12,8 @@ as soon as groups / size drops below the threshold or one group is left.
 Sets concentrated in too few centroids (dispersion at or below the lower
 threshold) are re-clustered locally; the local centroids become set-private
 "cascade" centroids that never enter the global indexes.  Sets in between
-keep one group per owning centroid.
+keep one group per owning centroid.  Build and bundle load both check the
+thresholds with ``check_thresholds``; the index holds none.
 
 Build labels every vector with its group and writes the flat
 ``PartitionIndex`` arrays from those labels with stable sorts.  Group
@@ -23,6 +24,7 @@ centroid ids below ``n_c`` reference the global codebook; ids at or above
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,8 @@ import numpy as np
 from .errors import DataError, UsageError
 from .quantizer import Codebook, ClusterAssignment, train_kmeans
 from .repository import VectorSetRepository
+
+LOCAL_KMEANS_ITERS = 20
 
 
 @dataclass
@@ -68,11 +72,9 @@ class PartitionIndex:
     centroid_ids: np.ndarray  # (cid_ptr[-1],)
     members: np.ndarray  # (member_ptr[-1],) indices within the owning set
     cascade: np.ndarray  # (cascade_ptr[-1], d) float32
-    rho_low: float
-    rho_high: float
 
     @classmethod
-    def pack(cls, psets: list[PartitionSet], rho_low: float, rho_high: float) -> "PartitionIndex":
+    def pack(cls, psets: list[PartitionSet]) -> "PartitionIndex":
         """Flatten per-set partitions, given in set order."""
         groups = [g for pset in psets for g in pset.groups]
         return cls(
@@ -83,8 +85,6 @@ class PartitionIndex:
             centroid_ids=np.array([c for g in groups for c in g.centroid_ids], dtype=np.int32),
             members=np.concatenate([g.member_indices for g in groups], dtype=np.int32),
             cascade=np.concatenate([pset.cascade_centroids for pset in psets], dtype=np.float32),
-            rho_low=rho_low,
-            rho_high=rho_high,
         )
 
     @property
@@ -158,14 +158,20 @@ def dispersion(set_owners: np.ndarray) -> float:
     return len(np.unique(set_owners)) / len(set_owners)
 
 
-def default_cascade_k(rho_low: float, rho_high: float):
-    """Local cluster count targeting the middle of the dispersion band."""
-    target = (rho_low + rho_high) / 2.0
+def check_thresholds(rho_low, rho_high) -> None:
+    """Raise ``UsageError`` unless the dispersion thresholds are real
+    numbers, not bools, with ``0 < rho_low < rho_high <= 1``."""
+    for value in (rho_low, rho_high):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise UsageError(f"rho thresholds must be real numbers, got {value!r}")
+    if not 0 < rho_low < rho_high <= 1:
+        raise UsageError(f"need 0 < rho_low < rho_high <= 1, got {rho_low}, {rho_high}")
 
-    def policy(set_size: int) -> int:
-        return min(set_size, max(2, math.ceil(target * set_size)))
 
-    return policy
+def cascade_k(size: int, rho_low: float, rho_high: float) -> int:
+    """Local cluster count of a cascade set of ``size`` vectors, aiming at
+    the middle of the dispersion band; in ``[1, size]``."""
+    return min(size, max(2, math.ceil((rho_low + rho_high) / 2.0 * size)))
 
 
 BRANCHES = ("merge", "plain", "cascade")
@@ -201,10 +207,10 @@ def _single_linkage(sims: np.ndarray, size: int, rho_high: float) -> np.ndarray:
     return np.unique(label, return_inverse=True)[1]
 
 
-def _cascade_split(vectors: np.ndarray, k: int, seed: int, max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+def _cascade_split(vectors: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Local k-means of one set: each vector's group label and the kept
     centroid rows (float32), dropping empty local clusters."""
-    local = train_kmeans(vectors.astype(np.float64), k, max_iters=max_iters, seed=seed)
+    local = train_kmeans(vectors.astype(np.float64), k, max_iters=LOCAL_KMEANS_ITERS, seed=seed)
     cents = local.centroids64()
     d2 = (
         np.einsum("ij,ij->i", vectors, vectors)[:, None]
@@ -222,21 +228,17 @@ def build_partition_index(
     assignment: ClusterAssignment,
     rho_low: float = 0.2,
     rho_high: float = 0.8,
-    cascade_k=None,
     seed: int = 0,
-    local_kmeans_iters: int = 20,
     single_partition: bool = False,
 ) -> PartitionIndex:
     """Partition every repository set into centroid groups.
 
     With ``single_partition`` every set becomes one group holding all of its
     vectors (partitioning disabled); otherwise the three dispersion branches
-    apply.  Output groups always partition the set's vectors.
+    apply.  The thresholds must pass ``check_thresholds`` either way.
+    Output groups always partition the set's vectors.
     """
-    if not single_partition and not 0 < rho_low < rho_high <= 1:
-        raise UsageError(f"need 0 < rho_low < rho_high <= 1, got {rho_low}, {rho_high}")
-    if cascade_k is None:
-        cascade_k = default_cascade_k(rho_low, rho_high)
+    check_thresholds(rho_low, rho_high)
     n_c, offsets = cb.n_c, assignment.offsets
     sizes = np.diff(offsets)
     set_ids = np.arange(repo.n_sets)
@@ -265,13 +267,9 @@ def build_partition_index(
     n_cascade = np.zeros(repo.n_sets, dtype=np.int64)
     cascade = [np.empty((0, repo.dimension), dtype=np.float32)]
     for sid in np.flatnonzero(branch == 2):
-        size = int(sizes[sid])
-        k = int(cascade_k(size))
-        if k < 1 or k > size:
-            raise UsageError(f"cascade_k produced invalid k={k} for set of size {size}")
         labels, cents = _cascade_split(
-            repo.vectors_of(sid), k, seed=(seed * 1_000_003 + int(sid)) & 0x7FFFFFFF,
-            max_iters=local_kmeans_iters,
+            repo.vectors_of(sid), cascade_k(int(sizes[sid]), rho_low, rho_high),
+            seed=(seed * 1_000_003 + int(sid)) & 0x7FFFFFFF,
         )
         vec_label[offsets[sid] : offsets[sid + 1]] = labels
         n_groups[sid] = n_cascade[sid] = len(cents)
@@ -299,8 +297,6 @@ def build_partition_index(
         centroid_ids=np.concatenate([pair_cid[codebook_pair], n_c + cascade_row])[cid_order].astype(np.int32),
         members=(order - offsets[vec_set[order]]).astype(np.int32),
         cascade=np.concatenate(cascade),
-        rho_low=rho_low,
-        rho_high=rho_high,
     )
     pindex.validate(offsets, n_c)
     return pindex

@@ -14,7 +14,8 @@ Stage 3 scores each survivor with the exact thresholded matching against
 all of the set's vectors, pruning with the bounds of
 ``matching.set_bounds``: one product of the query with every survivor's
 rows gives all of them.  Queries are independent; every search call
-builds its own scratch state, so one engine serves many threads.
+keeps its own scratch state, so one engine serves many threads.  Search
+reads none of the build settings in ``build_config``.
 """
 
 from __future__ import annotations
@@ -140,15 +141,6 @@ class SearchResult:
     diagnostics: SearchDiagnostics
 
 
-class _QueryState:
-    """Per-search scratch: the query matrix in float64, plus a per-candidate
-    memo so stage-3 exact scores are computed at most once."""
-
-    def __init__(self, query: QueryTable):
-        self.q64 = query.vectors.astype(np.float64)
-        self.clustered: dict[int, tuple[float, int]] = {}
-
-
 class SearchEngine:
     """Immutable index bundle plus the search pipeline over it."""
 
@@ -159,42 +151,30 @@ class SearchEngine:
         assignment: ClusterAssignment,
         postings: Postings,
         partition_index: PartitionIndex,
-        build_config: dict | None = None,
+        build_config: dict,
     ):
         self.repo = repo
         self.codebook = codebook
         self.assignment = assignment
         self.postings = postings
         self.partition_index = partition_index
-        self.build_config = dict(build_config or {})
+        self.build_config = dict(build_config)
         # Seconds of each build phase, filled by ``build_engine`` and never
         # saved, so identical builds stay byte-identical.
         self.phase_seconds: dict[str, float] = {}
-
-    # -- stage pieces -----------------------------------------------------
-
-    def _clustered(self, state: _QueryState, set_id: int, tau: float) -> tuple[float, int]:
-        cached = state.clustered.get(set_id)
-        if cached is None:
-            res = matching.unionability(state.q64, self.repo.vectors_of(set_id), tau)
-            cached = state.clustered[set_id] = (res.weight, res.cardinality)
-        return cached
-
-    # -- public operations --------------------------------------------------
 
     def refine(self, query: QueryTable, params: SearchParams | None = None, trace=None):
         """Run only the first stage; returns (set_id, score) ranked."""
         self._check_query(query)
         resolved = (params or SearchParams()).resolve(self.repo.n_sets)
-        state = _QueryState(query)
-        return self._refine(state, resolved, trace)
+        return self._refine(query.vectors.astype(np.float64), resolved, trace)
 
-    def _refine(self, state: _QueryState, params: ResolvedParams, trace=None):
-        ids, sims = top_centroids(self.codebook, state.q64, params.phi_c)
+    def _refine(self, q64: np.ndarray, params: ResolvedParams, trace=None):
+        ids, sims = top_centroids(self.codebook, q64, params.phi_c)
         pairs = np.stack((ids, sims), axis=-1)  # per query vector, (centroid id, sim) rows
         return refine(
             self.repo.n_sets,
-            len(state.q64),
+            len(q64),
             pairs.__getitem__,
             self.postings,
             params.phi_c,
@@ -212,18 +192,18 @@ class SearchEngine:
         """Full three-stage top-k search."""
         self._check_query(query)
         resolved = (params or SearchParams()).resolve(self.repo.n_sets)
-        state = _QueryState(query)
+        q64 = query.vectors.astype(np.float64)
         diag = SearchDiagnostics()
         tau = resolved.tau
 
         t0 = time.perf_counter()
-        stage1 = self._refine(state, resolved)
+        stage1 = self._refine(q64, resolved)
         stage1_ids = [sid for sid, _ in stage1]
         diag.refine_candidates = len(stage1_ids)
         t1 = time.perf_counter()
         diag.stage_seconds["refine"] = t1 - t0
 
-        tables = partition_sims(state.q64, self.partition_index, self.codebook, stage1_ids, tau)
+        tables = partition_sims(q64, self.partition_index, self.codebook, stage1_ids, tau)
 
         def filter_score(sid: int) -> float:
             start = time.perf_counter()
@@ -232,11 +212,16 @@ class SearchEngine:
             diag.filter_row_best_scores += res.row_best
             return res.score
 
+        # (weight, cardinality) of every set stage 3 scores; a pruner scores
+        # each candidate at most once
+        scored: dict[int, tuple[float, int]] = {}
+
         def scoring_score(sid: int) -> float:
             start = time.perf_counter()
-            weight = self._clustered(state, sid, tau)[0]
+            res = matching.unionability(q64, self.repo.vectors_of(sid), tau)
+            scored[sid] = res.weight, res.cardinality
             diag.score_exact_s += time.perf_counter() - start
-            return weight
+            return res.weight
 
         ranked2, stats2 = run_pruner(
             resolved.pruner,
@@ -253,7 +238,7 @@ class SearchEngine:
         diag.stage_seconds["filter"] = t2 - t1
 
         ids3 = [sid for sid, _ in ranked2]
-        lb3, ub3 = matching.set_bounds(state.q64, self.repo, ids3, tau)
+        lb3, ub3 = matching.set_bounds(q64, self.repo, ids3, tau)
         bounds3 = dict(zip(ids3, zip(lb3.tolist(), ub3.tolist())))
         ranked3, stats3 = run_pruner(
             resolved.pruner,
@@ -268,10 +253,7 @@ class SearchEngine:
         t3 = time.perf_counter()
         diag.stage_seconds["score"] = t3 - t2
 
-        items = []
-        for sid, score in ranked3:
-            _, cardinality = self._clustered(state, sid, tau)
-            items.append((sid, score, cardinality))
+        items = [(sid, score, scored[sid][1]) for sid, score in ranked3]
         items.sort(key=lambda t: (-t[1], -t[2], t[0]))
         diag.result_count = len(items)
         return SearchResult(items, diag)
@@ -287,16 +269,18 @@ def build_engine(
     rho_low: float = 0.2,
     rho_high: float = 0.8,
     seed: int = 0,
-    kmeans_iters: int = 25,
     single_partition: bool = False,
 ) -> SearchEngine:
     """Train the codebook and assemble every index for a repository; the
-    engine's ``phase_seconds`` holds the time of each phase."""
-    from .partitions import build_partition_index
+    engine's ``build_config`` holds the five build settings, ``n_c``
+    resolved, and its ``phase_seconds`` the time of each phase.  The
+    thresholds are checked before any training."""
+    from .partitions import build_partition_index, check_thresholds
     from .quantizer import assign_all, build_indexes, train_codebook
 
+    check_thresholds(rho_low, rho_high)
     times = [time.perf_counter()]
-    codebook = train_codebook(repo, n_c=n_c, max_iters=kmeans_iters, seed=seed)
+    codebook = train_codebook(repo, n_c=n_c, seed=seed)
     times.append(time.perf_counter())
     assignment = assign_all(repo, codebook)
     times.append(time.perf_counter())
@@ -310,14 +294,10 @@ def build_engine(
     times.append(time.perf_counter())
     config = {
         "n_c": codebook.n_c,
+        "seed": seed,
         "rho_low": rho_low,
         "rho_high": rho_high,
-        "seed": seed,
-        "kmeans_iters": kmeans_iters,
         "single_partition": single_partition,
-        "dimension": repo.dimension,
-        "n_sets": repo.n_sets,
-        "total_vectors": repo.total_vectors,
     }
     engine = SearchEngine(repo, codebook, assignment, postings, pindex, config)
     engine.phase_seconds = dict(zip(("train", "assign", "postings", "partitions"), np.diff(times).tolist()))

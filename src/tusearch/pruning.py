@@ -46,9 +46,9 @@ class PruneStats:
     # the moment the candidate was dropped without scoring)
     discards: list | None = None
 
-    def note_discard(self, set_id: int, ub: float, top_scores: list[float]) -> None:
+    def note_discard(self, set_id: int, ub: float, heap: "_TopHeap") -> None:
         if self.discards is not None:
-            self.discards.append((set_id, ub, tuple(top_scores)))
+            self.discards.append((set_id, ub, tuple(heap.scores())))
 
 
 class DoubleEndedQueue:
@@ -208,7 +208,7 @@ def base_prune(
         lb, ub = bound_fn(sid)
         stats.bound_calls += 1
         if heap.dominates(ub):
-            stats.note_discard(sid, ub, heap.scores())
+            stats.note_discard(sid, ub, heap)
             continue
         score = score_fn(sid)
         stats.score_calls += 1
@@ -254,7 +254,7 @@ def enhanced_prune(
             heap.push(cand.resolved_score, cand.set_id)
             return
         if heap.dominates(cand.ub):
-            stats.note_discard(cand.set_id, cand.ub, heap.scores())
+            stats.note_discard(cand.set_id, cand.ub, heap)
             return
         cand.resolved_score = score_fn(cand.set_id)
         stats.score_calls += 1
@@ -278,7 +278,7 @@ def enhanced_prune(
                 if heap.dominates(ub):
                     break
             if heap.dominates(ub):
-                stats.note_discard(sid, ub, heap.scores())
+                stats.note_discard(sid, ub, heap)
             else:
                 pool.insert(cand)
     remaining = pool.drain_live() + parked

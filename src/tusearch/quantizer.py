@@ -182,14 +182,10 @@ def default_n_c(total_vectors: int) -> int:
     return int(np.ceil(np.sqrt(total_vectors)))
 
 
-def train_codebook(
-    repo: VectorSetRepository,
-    n_c: int | None = None,
-    max_iters: int = 25,
-    seed: int = 0,
-) -> Codebook:
-    """Train the codebook over the whole repository pool, subsampling to at
-    most ``TRAIN_POINTS_PER_CENTROID * n_c`` points when the pool is larger."""
+def train_codebook(repo: VectorSetRepository, n_c: int | None = None, seed: int = 0) -> Codebook:
+    """Train the codebook over the whole repository pool with
+    ``train_kmeans``'s default iterations, subsampling to at most
+    ``TRAIN_POINTS_PER_CENTROID * n_c`` points when the pool is larger."""
     if n_c is None:
         n_c = default_n_c(repo.total_vectors)
     if n_c > repo.total_vectors:
@@ -200,7 +196,7 @@ def train_codebook(
         rng = np.random.default_rng(seed)
         pick = np.sort(rng.choice(repo.total_vectors, size=cap, replace=False))
         points = points[pick]
-    return train_kmeans(points, n_c, max_iters=max_iters, seed=seed)
+    return train_kmeans(points, n_c, seed=seed)
 
 
 def assign_all(repo: VectorSetRepository, cb: Codebook) -> ClusterAssignment:

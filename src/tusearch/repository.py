@@ -161,7 +161,9 @@ class VectorSetRepository:
         return self.n_sets
 
 
-def _parse_manifest(manifest_path: Path):
+def _parse_manifest(manifest_path):
+    """The dimension, the records by set id with payload names as written,
+    and the directory those names are relative to."""
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise DataError(f"manifest not found: {manifest_path}")
@@ -195,32 +197,34 @@ def _parse_manifest(manifest_path: Path):
             raise DataError(f"empty vector set {set_id}")
         if offset < 0:
             raise DataError(f"negative payload offset at line {lineno}: {offset}")
-        records.append((set_id, count, manifest_path.parent / parts[2], offset))
+        records.append((set_id, count, parts[2], offset))
     if not records:
         raise DataError(f"manifest has no records: {manifest_path}")
     ids = sorted(r[0] for r in records)
     if ids != list(range(len(records))):
         raise DataError("set_ids must be unique and dense in [0, n)")
     records.sort(key=lambda r: r[0])
-    return dimension, records
+    return dimension, records, manifest_path.parent
 
 
-def _read_rows(records, dimension: int) -> np.ndarray:
-    """The records' payload rows, stacked in record order; each payload file
-    is read once."""
-    files: dict[Path, bytes] = {}
+def _read_rows(records, dimension: int, directory: Path) -> np.ndarray:
+    """The records' payload rows, stacked in record order; payload names
+    are relative to ``directory``, and each payload file is read once."""
+    files: dict[str, bytes] = {}
     blocks = []
-    for set_id, count, payload, offset in records:
-        if payload not in files:
+    for set_id, count, name, offset in records:
+        raw = files.get(name)
+        if raw is None:
+            payload = directory / name
             if not payload.is_file():
                 raise DataError(f"payload not found: {payload}")
-            files[payload] = payload.read_bytes()
+            raw = files[name] = payload.read_bytes()
         n_bytes = count * dimension * 4
-        if offset + n_bytes > len(files[payload]):
+        if offset + n_bytes > len(raw):
             raise DataError(
-                f"payload too short for set {set_id}: need {n_bytes} bytes at offset {offset} in {payload}"
+                f"payload too short for set {set_id}: need {n_bytes} bytes at offset {offset} in {directory / name}"
             )
-        blocks.append(np.frombuffer(files[payload], dtype="<f4", count=count * dimension, offset=offset))
+        blocks.append(np.frombuffer(raw, dtype="<f4", count=count * dimension, offset=offset))
     return np.concatenate(blocks).reshape(-1, dimension)
 
 
@@ -234,25 +238,25 @@ def ingest_repository(manifest_path) -> VectorSetRepository:
     Deterministic given identical input bytes; every vector comes out with
     unit norm (within float32 representation).
     """
-    dimension, records = _parse_manifest(Path(manifest_path))
+    dimension, records, directory = _parse_manifest(manifest_path)
     offsets = _offsets(records)
-    rows = normalize_rows(_read_rows(records, dimension), where="set", offsets=offsets)
+    rows = normalize_rows(_read_rows(records, dimension, directory), where="set", offsets=offsets)
     return VectorSetRepository(rows, offsets)
 
 
 def load_query_table(manifest_path) -> QueryTable:
     """Load a single-record manifest as a query table."""
-    dimension, records = _parse_manifest(Path(manifest_path))
+    dimension, records, directory = _parse_manifest(manifest_path)
     if len(records) != 1:
         raise DataError(f"query manifest must contain exactly one record, got {len(records)}")
-    return QueryTable(normalize_rows(_read_rows(records, dimension), where="query"))
+    return QueryTable(normalize_rows(_read_rows(records, dimension, directory), where="query"))
 
 
 def load_query_tables(manifest_path) -> list[QueryTable]:
     """Load a multi-record manifest as a list of query tables (one per record)."""
-    dimension, records = _parse_manifest(Path(manifest_path))
+    dimension, records, directory = _parse_manifest(manifest_path)
     offsets = _offsets(records)
-    rows = normalize_rows(_read_rows(records, dimension), where="query", offsets=offsets)
+    rows = normalize_rows(_read_rows(records, dimension, directory), where="query", offsets=offsets)
     return [QueryTable(rows[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
 
 

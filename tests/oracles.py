@@ -17,7 +17,7 @@ import heapq
 import numpy as np
 
 from tusearch.matching import unionability
-from tusearch.partitions import PartitionGroup, PartitionIndex, PartitionSet, default_cascade_k, dispersion
+from tusearch.partitions import LOCAL_KMEANS_ITERS, PartitionGroup, PartitionIndex, PartitionSet, cascade_k, dispersion
 from tusearch.quantizer import Codebook, train_kmeans
 
 
@@ -289,15 +289,12 @@ def _reference_merge(groups: list[PartitionGroup], size: int, rho_high: float, c
 
 
 def reference_partition_index(
-    repo, cb: Codebook, assignment, rho_low=0.2, rho_high=0.8, cascade_k=None, seed=0,
-    local_kmeans_iters=20, single_partition=False,
+    repo, cb: Codebook, assignment, rho_low=0.2, rho_high=0.8, seed=0, single_partition=False,
 ) -> PartitionIndex:
     """``build_partition_index`` one set and one group object at a time:
     singleton groups from ``np.flatnonzero`` per owning centroid, the
     per-pair merge above, and the cascade's local clusters kept in cluster
     order, then ``PartitionIndex.pack``."""
-    if cascade_k is None:
-        cascade_k = default_cascade_k(rho_low, rho_high)
     psets = []
     for sid in range(repo.n_sets):
         owners = assignment.set_owners(sid)
@@ -313,7 +310,7 @@ def reference_partition_index(
         elif rho <= rho_low:
             vectors = repo.vectors_of(sid)
             local = train_kmeans(
-                vectors.astype(np.float64), int(cascade_k(size)), max_iters=local_kmeans_iters,
+                vectors.astype(np.float64), cascade_k(size, rho_low, rho_high), max_iters=LOCAL_KMEANS_ITERS,
                 seed=(seed * 1_000_003 + sid) & 0x7FFFFFFF,
             )
             cents = local.centroids64()
@@ -335,7 +332,7 @@ def reference_partition_index(
         else:
             groups = singletons
         psets.append(PartitionSet(sid, groups, cascade))
-    return PartitionIndex.pack(psets, rho_low, rho_high)
+    return PartitionIndex.pack(psets)
 
 
 class NaiveDepqModel:

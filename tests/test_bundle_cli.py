@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tusearch import bundle as bundle_module
 from tusearch import cli
 from tusearch.bundle import (
     FORMAT_NAME,
@@ -86,10 +87,40 @@ def rewrite_component(bundle, name, raw):
     (bundle / name).write_bytes(raw)
     meta_path = bundle / "bundle.json"
     meta = json.loads(meta_path.read_text())
-    if name not in meta["components"]:
-        meta["components"].append(name)
     meta["checksums"][name] = hashlib.sha256(raw).hexdigest()
     meta_path.write_text(json.dumps(meta))
+
+
+READ_COMPONENTS = ["repository.tsv", "repository.f32", "codebook.f32", "assignment.i32", "partitions.bin"]
+CONFIG_KEYS = ["n_c", "seed", "rho_low", "rho_high", "single_partition"]
+
+
+def damaged_metadata():
+    """Changes to the parsed ``bundle.json``, each with a pattern of the
+    ``DataError`` it must raise, that load must refuse before it reads a
+    component."""
+    cases = [
+        (f"unchecked {name}", lambda m, n=name: m["checksums"].pop(n), f"checksums lack {name}")
+        for name in READ_COMPONENTS
+    ]
+    cases += [
+        (f"name {name!r}", lambda m, n=name: m["checksums"].update({n: "0" * 64}), "not a file name")
+        for name in ("../x", "a/b", ".", "")
+    ]
+    cases += [
+        (f"no {key}", lambda m, k=key: m["config"].pop(k), "config must hold exactly")
+        for key in CONFIG_KEYS
+    ]
+    cases += [
+        ("NaN rho_low", lambda m: m["config"].update(rho_low=float("nan")), "need 0 < rho_low < rho_high"),
+        ("bool rho_low", lambda m: m["config"].update(rho_low=True), "must be real numbers"),
+        ("rho_low at rho_high", lambda m: m["config"].update(rho_low=m["config"]["rho_high"]), "need 0 < rho_low"),
+        ("rho_low above rho_high", lambda m: m["config"].update(rho_low=0.9), "need 0 < rho_low"),
+        ("string single_partition", lambda m: m["config"].update(single_partition="no"), "single_partition must be bool"),
+        ("fractional n_c", lambda m: m["config"].update(n_c=1.5), "n_c must be int"),
+        ("extra config key", lambda m: m["config"].update(dimension=12), "config must hold exactly"),
+    ]
+    return [pytest.param(change, match, id=label) for label, change, match in cases]
 
 
 class TestBundleRoundTrip:
@@ -215,16 +246,43 @@ class TestBundleRoundTrip:
         with pytest.raises(DataError, match="checksum mismatch for graph.bin"):
             load_bundle(bundle)
 
-    def test_version_1_bundle_must_be_rebuilt(self, saved, tmp_path, capsys):
-        bundle = shutil.copytree(saved, tmp_path / "v1")
+    def test_metadata_holds_the_settings_and_one_component_list(self, saved):
+        meta = json.loads((saved / "bundle.json").read_text())
+        assert sorted(meta) == ["checksums", "config", "format", "version"]
+        assert meta["version"] == FORMAT_VERSION == 3
+        assert sorted(meta["config"]) == sorted(CONFIG_KEYS)
+        assert sorted(meta["checksums"]) == sorted(READ_COMPONENTS)
+        assert sorted(component_sizes(saved)) == sorted(READ_COMPONENTS)
+
+    @pytest.mark.parametrize("change, match", damaged_metadata())
+    def test_damaged_metadata_is_a_data_error(self, saved, tmp_path, capsys, monkeypatch, change, match):
+        bundle = shutil.copytree(saved, tmp_path / "m")
+        (tmp_path / "x").write_bytes(b"outside the bundle")
         meta_path = bundle / "bundle.json"
         meta = json.loads(meta_path.read_text())
-        meta["version"] = 1
+        change(meta)
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(DataError, match="format mismatch: found 'tusearch-bundle' v1"):
+        hashed = []
+        monkeypatch.setattr(bundle_module, "_sha256", lambda path: hashed.append(path) or "0" * 64)
+        with pytest.raises(DataError, match=match):
             load_bundle(bundle)
         assert main(["inspect", "--bundle", str(bundle)]) == 3
-        assert capsys.readouterr().err.startswith("error: bundle format mismatch")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert hashed == []
+
+    def test_version_1_bundle_must_be_rebuilt(self, saved, tmp_path, capsys):
+        # and a version 2 bundle, whose partitions.bin began with the rho pair
+        for version in (1, 2):
+            bundle = shutil.copytree(saved, tmp_path / f"v{version}")
+            meta_path = bundle / "bundle.json"
+            meta = json.loads(meta_path.read_text())
+            meta["version"] = version
+            meta_path.write_text(json.dumps(meta))
+            with pytest.raises(DataError, match=f"format mismatch: found 'tusearch-bundle' v{version}"):
+                load_bundle(bundle)
+            assert main(["inspect", "--bundle", str(bundle)]) == 3
+            assert capsys.readouterr().err.startswith("error: bundle format mismatch")
 
     def test_version_mismatch_fails_before_parsing(self, sources, tmp_path):
         manifest, _, _ = sources
@@ -336,6 +394,16 @@ class TestCli:
             assert code == 2
         assert truth_calls == []
 
+    def test_build_checks_thresholds_before_training(self, sources, tmp_path, capsys, monkeypatch):
+        def untrained(*args, **kwargs):
+            raise AssertionError("trained a codebook")
+
+        monkeypatch.setattr("tusearch.quantizer.train_codebook", untrained)
+        for flags in (["--rho-l", "0.9", "--rho-h", "0.3"], ["--rho-l", "nan", "--single-partition"]):
+            assert main(["build", "--manifest", str(sources[0]), "--out", str(tmp_path / "b"), *flags]) == 2
+            assert capsys.readouterr().err.startswith("error: need 0 < rho_low < rho_high <= 1")
+        assert not (tmp_path / "b").exists()
+
     def test_build_onto_existing_file_exits_3(self, sources, tmp_path, capsys):
         manifest, _, _ = sources
         occupied = tmp_path / "occupied"
@@ -434,6 +502,13 @@ class TestCli:
                              env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "0 [True]"
+
+    def test_eval_rejects_queries_of_another_dimension(self, saved, tmp_path, capsys):
+        queries = write_repository(generate_synthetic(2, (3, 5), 6, 4, 0.1, seed=20).repository, tmp_path, stem="q6")
+        assert load_bundle(saved).repo.dimension == 12
+        assert main(["eval", "--bundle", str(saved), "--queries", str(queries)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: dimension mismatch: 6 vs 12\n"
 
     def test_synth_rejects_negative_queries(self, tmp_path, capsys):
         out = tmp_path / "w"

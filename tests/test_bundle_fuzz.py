@@ -29,7 +29,7 @@ def pristine(tmp_path_factory):
 def test_damaged_components_raise_only_tusearch_errors(pristine, data):
     files, query, work = pristine
     meta = json.loads(files["bundle.json"])
-    name = data.draw(st.sampled_from(sorted(meta["components"])), label="component")
+    name = data.draw(st.sampled_from(sorted(meta["checksums"])), label="component")
     raw = bytearray(files[name])
     if data.draw(st.booleans(), label="flip"):
         pos = data.draw(st.integers(0, len(raw) - 1), label="position")

@@ -83,7 +83,7 @@ def random_sparse_table(rng, tau=0.5):
 
 
 def one_set_index(groups, cascade):
-    return PartitionIndex.pack([PartitionSet(0, groups, cascade)], 0.2, 0.8)
+    return PartitionIndex.pack([PartitionSet(0, groups, cascade)])
 
 
 def random_partition_index(rng, cb, n_sets, d, max_centroids=3):
@@ -111,7 +111,7 @@ def random_partition_index(rng, cb, n_sets, d, max_centroids=3):
             members = np.arange(int(rng.integers(1, 5)), dtype=np.int32)
             groups.append(PartitionGroup(gid, cids, members))
         psets.append(PartitionSet(sid, groups, cascade))
-    return PartitionIndex.pack(psets, 0.2, 0.8)
+    return PartitionIndex.pack(psets)
 
 
 class TestPartitionSims:
@@ -558,7 +558,7 @@ def mixed_batches(draw):
         psets.append(PartitionSet(sid, groups, cascade))
     cb = Codebook(rows(n_c), train_seed=0)
     q = rows(draw(st.integers(1, 8))).astype(np.float64)
-    return PartitionIndex.pack(psets, 0.2, 0.8), cb, q, draw(st.sampled_from([0.05, 0.25, 0.5, 0.75]))
+    return PartitionIndex.pack(psets), cb, q, draw(st.sampled_from([0.05, 0.25, 0.5, 0.75]))
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,7 +12,7 @@ from tusearch.errors import DataError, UsageError
 from tusearch.partitions import (
     PartitionGroup,
     build_partition_index,
-    default_cascade_k,
+    cascade_k,
     dispersion,
 )
 from tusearch.quantizer import ClusterAssignment, Codebook, train_kmeans
@@ -133,19 +133,19 @@ class TestBuildPartitionIndex:
         owners = [np.zeros(12, dtype=int)]  # rho = 1/12 <= 0.3
         repo, assignment = repo_with_owners(rng, owners)
         cb = Codebook(random_unit_rows(rng, 4, 6), train_seed=0)
-        pidx = build_partition_index(
-            repo, cb, assignment, rho_low=0.3, rho_high=0.8, cascade_k=lambda n: 4, seed=5
-        )
+        pidx = build_partition_index(repo, cb, assignment, rho_low=0.3, rho_high=0.8, seed=5)
+        k = cascade_k(12, 0.3, 0.8)
+        assert k == 7
         pset = pidx.of(0)
         check_partition(pset, 12)
-        assert len(pset.groups) <= 4
+        assert len(pset.groups) <= k
         assert len(pset.cascade_centroids) == len(pset.groups)
         # groups reference cascade ids, which live past the global codebook
         for g in pset.groups:
             assert all(cid >= cb.n_c for cid in g.centroid_ids)
         # members match an independent run of the same local clustering
         local = train_kmeans(
-            repo.vectors_of(0).astype(np.float64), 4, max_iters=20,
+            repo.vectors_of(0).astype(np.float64), k, max_iters=20,
             seed=(5 * 1_000_003 + 0) & 0x7FFFFFFF,
         )
         cents = local.centroids64()
@@ -154,7 +154,7 @@ class TestBuildPartitionIndex:
         labels = np.argmin(d2, axis=1)
         got = sorted(tuple(g.member_indices) for g in pset.groups)
         want = sorted(
-            tuple(np.flatnonzero(labels == j)) for j in range(4) if (labels == j).any()
+            tuple(np.flatnonzero(labels == j)) for j in range(k) if (labels == j).any()
         )
         assert got == want
 
@@ -173,14 +173,14 @@ class TestBuildPartitionIndex:
         rng = np.random.default_rng(7)
         repo, assignment = repo_with_owners(rng, [np.array([0, 1])])
         cb = Codebook(random_unit_rows(rng, 2, 6), train_seed=0)
-        for lo, hi in ((0.5, 0.5), (0.0, 0.8), (0.4, 1.2), (0.9, 0.3)):
-            with pytest.raises(UsageError):
-                build_partition_index(repo, cb, assignment, rho_low=lo, rho_high=hi)
+        for lo, hi in ((0.5, 0.5), (0.0, 0.8), (0.4, 1.2), (0.9, 0.3), (float("nan"), 0.8), (0.2, True)):
+            for single in (False, True):
+                with pytest.raises(UsageError):
+                    build_partition_index(repo, cb, assignment, rho_low=lo, rho_high=hi, single_partition=single)
 
     def test_default_cascade_policy_lands_in_band(self):
-        policy = default_cascade_k(0.2, 0.8)
         for size in (2, 5, 10, 40):
-            k = policy(size)
+            k = cascade_k(size, 0.2, 0.8)
             assert 2 <= k <= size or size < 2
 
     def test_random_battery_all_branches(self):
@@ -257,7 +257,6 @@ class TestBuildEqualsReference:
         for name in PARTITION_FIELDS:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
-        assert (got.rho_low, got.rho_high) == (want.rho_low, want.rho_high)
 
 
 class TestValidate:
