@@ -12,7 +12,6 @@ from .repository import (
     generate_synthetic,
     ingest_repository,
     load_query_table,
-    similarity,
     write_repository,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "load_query_table",
     "mwmto_exact",
     "partition_sims",
-    "similarity",
     "train_kmeans",
     "unionability",
     "write_repository",

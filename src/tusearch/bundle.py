@@ -4,12 +4,15 @@ A bundle is a directory holding the canonical repository export plus every
 index component in little-endian binary form, described by a single
 ``bundle.json`` carrying the format version, ``config`` (the engine's
 ``build_config``: exactly the five build settings) and ``checksums`` (a
-sha256 per component file, the one list of components).  Loading checks
-that metadata first, then verifies every checksum, before any parsing; a
-component that then fails to decode is a data error too.  Nothing in a
-bundle depends on wall-clock time, so identical builds are byte-identical.
-The decoded partition arrays pass ``PartitionIndex.validate``, the same
-check build runs on its own output, before search reads them as they are.
+sha256 per component file, the one list of components).  Save and load
+check ``config`` by the rule of build, ``check_build_config``.  Loading
+checks that metadata first, then verifies every checksum, before any
+parsing; the repository manifest must name ``repository.f32`` as the
+payload of every record.  A component that then fails to decode is a
+data error too.  Nothing in a bundle depends on wall-clock time, so
+identical builds are byte-identical.  The decoded partition arrays pass
+``PartitionIndex.validate``, the same check build runs on its own output,
+before search reads them as they are.
 
 Format v3 stores three index components, each read with ``np.frombuffer``:
 
@@ -35,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
-from .partitions import PartitionIndex, check_thresholds
-from .pipeline import SearchEngine
+from .partitions import PartitionIndex
+from .pipeline import SearchEngine, check_build_config
 from .quantizer import ClusterAssignment, Codebook, build_indexes
 from .repository import VectorSetRepository, ingest_repository, write_repository
 
@@ -44,12 +47,13 @@ FORMAT_NAME = "tusearch-bundle"
 FORMAT_VERSION = 3
 
 _REPO_STEM = "repository"
+_MANIFEST = f"{_REPO_STEM}.tsv"
+_PAYLOAD = f"{_REPO_STEM}.f32"
 _CODEBOOK = "codebook.f32"
 _ASSIGNMENT = "assignment.i32"
 _PARTITIONS = "partitions.bin"
 _META = "bundle.json"
-_COMPONENTS = (f"{_REPO_STEM}.tsv", f"{_REPO_STEM}.f32", _CODEBOOK, _ASSIGNMENT, _PARTITIONS)
-_CONFIG_KEYS = ("n_c", "seed", "rho_low", "rho_high", "single_partition")
+_COMPONENTS = (_MANIFEST, _PAYLOAD, _CODEBOOK, _ASSIGNMENT, _PARTITIONS)
 
 _PARTITION_ARRAYS = ("group_ptr", "cascade_ptr", "cid_ptr", "member_ptr", "centroid_ids", "members")
 _PARTITION_HEAD = 4 * (len(_PARTITION_ARRAYS) + 1)
@@ -107,7 +111,10 @@ def _read_partitions(raw: bytes, n_c: int, repo: VectorSetRepository) -> Partiti
 
 
 def save_bundle(directory, engine: SearchEngine) -> Path:
-    """Write every engine component under ``directory``; returns its path."""
+    """Write every engine component under ``directory``; returns its path.
+    The engine's ``build_config`` must pass ``check_build_config``, which
+    is checked before any file is written."""
+    config = check_build_config(engine.build_config)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_repository(engine.repo, directory, stem=_REPO_STEM)
@@ -116,32 +123,18 @@ def save_bundle(directory, engine: SearchEngine) -> Path:
     meta = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "config": engine.build_config,
+        "config": config,
         "checksums": {name: _sha256(directory / name) for name in _COMPONENTS},
     }
     (directory / _META).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return directory
 
 
-def _check_config(config: dict) -> None:
-    """Raise ``DataError`` unless ``config`` holds exactly the five build
-    settings: ``n_c`` and ``seed`` integers, thresholds that pass
-    ``check_thresholds`` and a boolean ``single_partition``."""
-    if set(config) != set(_CONFIG_KEYS):
-        raise DataError(f"bundle config must hold exactly {', '.join(_CONFIG_KEYS)}, got {', '.join(config)}")
-    for key, kind in (("n_c", int), ("seed", int), ("single_partition", bool)):
-        if type(config[key]) is not kind:
-            raise DataError(f"bundle config {key} must be {kind.__name__}, got {config[key]!r}")
-    try:
-        check_thresholds(config["rho_low"], config["rho_high"])
-    except UsageError as exc:
-        raise DataError(f"bundle config: {exc}") from None
-
-
 def _read_meta(directory: Path) -> dict:
     """Parse and check ``bundle.json``: a current-format object whose
     checksums name plain files, among them every component load reads, and
-    whose config passes ``_check_config``; anything else is a data error."""
+    whose config passes ``check_build_config``; anything else is a data
+    error."""
     meta_path = directory / _META
     if not meta_path.is_file():
         raise DataError(f"not a bundle (missing {_META}): {directory}")
@@ -165,8 +158,21 @@ def _read_meta(directory: Path) -> dict:
     missing = [name for name in _COMPONENTS if name not in meta["checksums"]]
     if missing:
         raise DataError(f"bundle checksums lack {', '.join(missing)}")
-    _check_config(meta["config"])
+    try:
+        meta["config"] = check_build_config(meta["config"])
+    except UsageError as exc:
+        raise DataError(f"bundle config: {exc}") from None
     return meta
+
+
+def _check_payload(manifest: Path) -> None:
+    """Raise ``DataError`` if a record of the bundle's repository manifest
+    names a payload other than ``repository.f32``, so that load reads no
+    file outside the bundle.  Records that ingest rejects are left to it."""
+    for line in manifest.read_bytes().decode("utf-8", errors="replace").splitlines()[1:]:
+        parts = line.split("\t")
+        if len(parts) == 4 and parts[2] != _PAYLOAD:
+            raise DataError(f"{_MANIFEST} names payload {parts[2]!r}, not {_PAYLOAD}")
 
 
 def load_bundle(directory) -> SearchEngine:
@@ -182,7 +188,8 @@ def load_bundle(directory) -> SearchEngine:
             raise DataError(f"bundle checksum mismatch for {name}: {got} != {expect}")
     config = meta["config"]
     n_c = config["n_c"]
-    repo = ingest_repository(directory / f"{_REPO_STEM}.tsv")
+    _check_payload(directory / _MANIFEST)
+    repo = ingest_repository(directory / _MANIFEST)
     raw = (directory / _CODEBOOK).read_bytes()
     if len(raw) != 4 * n_c * repo.dimension:
         raise DataError(f"{_CODEBOOK} holds {len(raw)} bytes, not {n_c} x {repo.dimension} float32")

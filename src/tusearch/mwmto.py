@@ -19,14 +19,15 @@ and each group keeps its first ``capacity`` proposers.
 
 The lower bound is that row-best matching's weight, capped by
 ``matching.matching_floors`` where it takes fewer query vectors than a
-matching can; the upper bound sums the largest ``min(n_query,
-set_size)`` row maxima.  A table whose groups turned no proposal away
-has the row-best matching as its exact optimum.  Every other table's
-exact score is the shifted-weight assignment reduction from ``matching``
-with each group expanded into identical columns, as many as it can be
-used: its capacity, or the number of query vectors that reach it if
-fewer.  The same pass builds those assignment problems for all such
-tables with one gather, so ``mwmto_exact`` only solves.
+matching can; the upper bound sums the largest row maxima, as many as
+the smaller of the query's and the set's vector counts.  A table whose
+groups turned no proposal away has the row-best matching as its exact
+optimum.  Every other table's exact score is the shifted-weight
+assignment reduction from ``matching`` with each group expanded into
+identical columns, as many as it can be used: its capacity, or the
+number of query vectors that reach it if fewer.  The same pass builds
+those assignment problems for all such tables with one gather, so
+``mwmto_exact`` only solves.
 """
 
 from __future__ import annotations
@@ -79,14 +80,6 @@ class PartitionSimTable:
         (table,) = _side_by_side(sims, valid, capacities, [0])
         vars(self).update(vars(table))
 
-    @property
-    def n_query(self) -> int:
-        return self.sims.shape[0]
-
-    @property
-    def set_size(self) -> int:
-        return int(self.capacities.sum())
-
 
 def _side_by_side(sims, valid, capacities, starts) -> list[PartitionSimTable]:
     """The tables laid side by side in ``sims``, table t from column
@@ -94,7 +87,8 @@ def _side_by_side(sims, valid, capacities, starts) -> list[PartitionSimTable]:
     assignment problem."""
     starts = np.asarray(starts, dtype=np.int64)
     best = row_best(sims, valid, capacities, starts)
-    # the largest min(n_query, set_size) row maxima, summed in descending order
+    # the largest min(query vectors, set vectors) row maxima, summed in
+    # descending order
     pooled = np.zeros((len(sims) + 1, len(starts)))
     np.cumsum(np.sort(best.row_max, axis=0)[::-1], axis=0, out=pooled[1:])
     take = np.minimum(len(sims), np.add.reduceat(capacities, starts))
@@ -226,8 +220,8 @@ def mwmto_exact(table: PartitionSimTable) -> MwmtoResult:
 
 def bounds_for_mwmto(table: PartitionSimTable) -> BoundPair:
     """Sandwiching estimates around the exact capacitated score: the
-    table's row-best lower bound and the sum of its largest ``min(n_query,
-    set_size)`` row maxima, where set_size counts the set's vectors, not
-    the threshold-reachable capacity.  Both come from ``partition_sims``'s
+    table's row-best lower bound and the sum of its largest row maxima, as
+    many as the smaller of the query's vector count and the set's (all of
+    its vectors, not the threshold-reachable capacity).  Both come from ``partition_sims``'s
     one pass over all tables (or the constructor's over one)."""
     return BoundPair(table.lb, table.ub)

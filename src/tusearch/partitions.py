@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
-from .quantizer import Codebook, ClusterAssignment, train_kmeans
+from .quantizer import Codebook, ClusterAssignment, _nearest, train_kmeans
 from .repository import VectorSetRepository
 
 LOCAL_KMEANS_ITERS = 20
@@ -211,13 +211,7 @@ def _cascade_split(vectors: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, 
     """Local k-means of one set: each vector's group label and the kept
     centroid rows (float32), dropping empty local clusters."""
     local = train_kmeans(vectors.astype(np.float64), k, max_iters=LOCAL_KMEANS_ITERS, seed=seed)
-    cents = local.centroids64()
-    d2 = (
-        np.einsum("ij,ij->i", vectors, vectors)[:, None]
-        - 2.0 * vectors @ cents.T
-        + np.einsum("ij,ij->i", cents, cents)[None, :]
-    )
-    labels = np.argmin(d2, axis=1)
+    labels, _ = _nearest(vectors, local.centroids64())
     kept = np.flatnonzero(np.bincount(labels, minlength=local.n_c))
     return np.searchsorted(kept, labels), local.centroids[kept]
 

@@ -30,11 +30,15 @@ import numpy as np
 from . import matching
 from .errors import DataError, UsageError
 from .mwmto import BoundPair, bounds_for_mwmto, mwmto_exact, partition_sims
-from .partitions import PartitionIndex
+from .partitions import PartitionIndex, check_thresholds
 from .pruning import PRUNERS, run_pruner
-from .quantizer import Codebook, ClusterAssignment, top_centroids
+from .quantizer import Codebook, ClusterAssignment, default_n_c, top_centroids
 from .refinement import Postings, refine
 from .repository import QueryTable, VectorSetRepository
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -55,7 +59,7 @@ class SearchParams:
             value = getattr(self, name)
             if value is None and name in ("phi_ref", "phi_r"):
                 continue  # defaulted below
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
         if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
             raise UsageError(f"tau must be a real number, got {self.tau!r}")
@@ -263,6 +267,35 @@ def _pair(bounds: BoundPair) -> tuple[float, float]:
     return bounds.lb, bounds.ub
 
 
+BUILD_SETTINGS = ("n_c", "seed", "rho_low", "rho_high", "single_partition")
+
+
+def check_build_config(config: dict) -> dict:
+    """``config`` with Python ``int``, ``float`` and ``bool`` values; raises
+    ``UsageError`` unless it holds exactly the five build settings: ``n_c``
+    an integer >= 1 and ``seed`` an integer >= 0 (numpy integers count,
+    bools do not), thresholds that pass ``check_thresholds`` and
+    ``single_partition`` a bool or numpy bool.  Build, bundle save and
+    bundle load all apply this rule."""
+    if set(config) != set(BUILD_SETTINGS):
+        raise UsageError(f"build config must hold exactly {', '.join(BUILD_SETTINGS)}, got {', '.join(config)}")
+    n_c, seed, single = config["n_c"], config["seed"], config["single_partition"]
+    if not (_is_integer(n_c) and n_c >= 1):
+        raise UsageError(f"n_c must be int >= 1, got {n_c!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise UsageError(f"seed must be int >= 0, got {seed!r}")
+    check_thresholds(config["rho_low"], config["rho_high"])
+    if not isinstance(single, (bool, np.bool_)):
+        raise UsageError(f"single_partition must be bool or numpy bool, got {single!r}")
+    return {
+        "n_c": int(n_c),
+        "seed": int(seed),
+        "rho_low": float(config["rho_low"]),
+        "rho_high": float(config["rho_high"]),
+        "single_partition": bool(single),
+    }
+
+
 def build_engine(
     repo: VectorSetRepository,
     n_c: int | None = None,
@@ -271,16 +304,18 @@ def build_engine(
     seed: int = 0,
     single_partition: bool = False,
 ) -> SearchEngine:
-    """Train the codebook and assemble every index for a repository; the
-    engine's ``build_config`` holds the five build settings, ``n_c``
-    resolved, and its ``phase_seconds`` the time of each phase.  The
-    thresholds are checked before any training."""
-    from .partitions import build_partition_index, check_thresholds
+    """Train the codebook and assemble every index for a repository; an
+    ``n_c`` of None takes ``default_n_c``.  The engine's ``build_config``
+    holds the five build settings as ``check_build_config`` returns them,
+    checked before any training, and its ``phase_seconds`` the time of
+    each phase."""
+    from .partitions import build_partition_index
     from .quantizer import assign_all, build_indexes, train_codebook
 
-    check_thresholds(rho_low, rho_high)
+    n_c = default_n_c(repo.total_vectors) if n_c is None else n_c
+    config = check_build_config(dict(zip(BUILD_SETTINGS, (n_c, seed, rho_low, rho_high, single_partition))))
     times = [time.perf_counter()]
-    codebook = train_codebook(repo, n_c=n_c, seed=seed)
+    codebook = train_codebook(repo, n_c=config["n_c"], seed=config["seed"])
     times.append(time.perf_counter())
     assignment = assign_all(repo, codebook)
     times.append(time.perf_counter())
@@ -288,17 +323,10 @@ def build_engine(
     times.append(time.perf_counter())
     pindex = build_partition_index(
         repo, codebook, assignment,
-        rho_low=rho_low, rho_high=rho_high, seed=seed,
-        single_partition=single_partition,
+        rho_low=config["rho_low"], rho_high=config["rho_high"], seed=config["seed"],
+        single_partition=config["single_partition"],
     )
     times.append(time.perf_counter())
-    config = {
-        "n_c": codebook.n_c,
-        "seed": seed,
-        "rho_low": rho_low,
-        "rho_high": rho_high,
-        "single_partition": single_partition,
-    }
     engine = SearchEngine(repo, codebook, assignment, postings, pindex, config)
     engine.phase_seconds = dict(zip(("train", "assign", "postings", "partitions"), np.diff(times).tolist()))
     return engine

@@ -34,7 +34,6 @@ class BoundedCandidate:
     set_id: int
     lb: float
     ub: float
-    resolved_score: float | None = None
 
 
 @dataclass
@@ -42,13 +41,6 @@ class PruneStats:
     score_calls: int = 0
     bound_calls: int = 0
     heap_ops: int = 0
-    # populated only when auditing: (set_id, ub, resolved scores present at
-    # the moment the candidate was dropped without scoring)
-    discards: list | None = None
-
-    def note_discard(self, set_id: int, ub: float, heap: "_TopHeap") -> None:
-        if self.discards is not None:
-            self.discards.append((set_id, ub, tuple(heap.scores())))
 
 
 class DoubleEndedQueue:
@@ -135,31 +127,23 @@ class _TopHeap:
         self.m = m
         self._heap: list[tuple[float, int]] = []  # (score, -set_id)
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def full(self) -> bool:
         return len(self._heap) >= self.m
 
-    def push(self, score: float, set_id: int) -> None:
-        heapq.heappush(self._heap, (score, -set_id))
-
-    def push_if_better(self, score: float, set_id: int) -> bool:
-        if (score, -set_id) > self._heap[0]:
+    def offer(self, score: float, set_id: int) -> None:
+        """Keep the pair if the heap has room or it beats the m-th."""
+        if not self.full():
+            heapq.heappush(self._heap, (score, -set_id))
+        elif (score, -set_id) > self._heap[0]:
             heapq.heapreplace(self._heap, (score, -set_id))
-            return True
-        return False
 
     def dominates(self, ub: float) -> bool:
         """True when m resolved scores already exceed ub by more than
         ``BOUND_SLACK``, so a candidate bounded by ub cannot enter the top m
         even if ub was rounded below its score.  A candidate whose bound
-        ties the m-th score is scored, and ``push_if_better`` applies the
+        ties the m-th score is scored, and ``offer`` applies the
         tie order."""
         return self.full() and ub + BOUND_SLACK < self._heap[0][0]
-
-    def scores(self) -> list[float]:
-        return [s for s, _ in self._heap]
 
     def ranked(self) -> list[tuple[int, float]]:
         out = sorted(self._heap, key=lambda t: (-t[0], -t[1]))
@@ -185,7 +169,6 @@ def base_prune(
     m: int,
     bound_fn,
     score_fn,
-    audit: bool = False,
 ) -> tuple[list[tuple[int, float]], PruneStats]:
     """Streaming top-m with per-candidate bound gating.
 
@@ -197,22 +180,16 @@ def base_prune(
     """
     if m < 1:
         raise UsageError(f"m must be >= 1, got {m}")
-    stats = PruneStats(discards=[] if audit else None)
+    stats = PruneStats()
     heap = _TopHeap(m)
     for sid in candidates:
-        if not heap.full():
-            score = score_fn(sid)
-            stats.score_calls += 1
-            heap.push(score, sid)
-            continue
-        lb, ub = bound_fn(sid)
-        stats.bound_calls += 1
-        if heap.dominates(ub):
-            stats.note_discard(sid, ub, heap)
-            continue
-        score = score_fn(sid)
+        if heap.full():
+            _, ub = bound_fn(sid)
+            stats.bound_calls += 1
+            if heap.dominates(ub):
+                continue
+        heap.offer(score_fn(sid), sid)
         stats.score_calls += 1
-        heap.push_if_better(score, sid)
     return heap.ranked(), stats
 
 
@@ -221,7 +198,6 @@ def enhanced_prune(
     m: int,
     bound_fn,
     score_fn,
-    audit: bool = False,
 ) -> tuple[list[tuple[int, float]], PruneStats]:
     """Deferred-resolution top-m selection over a bound-tracking queue.
 
@@ -242,23 +218,15 @@ def enhanced_prune(
     """
     if m < 1:
         raise UsageError(f"m must be >= 1, got {m}")
-    stats = PruneStats(discards=[] if audit else None)
+    stats = PruneStats()
     heap = _TopHeap(m)
     pool = DoubleEndedQueue()
     parked: list[BoundedCandidate] = []
 
     def resolve(cand: BoundedCandidate) -> None:
-        if not heap.full():
-            cand.resolved_score = score_fn(cand.set_id)
+        if not heap.dominates(cand.ub):
+            heap.offer(score_fn(cand.set_id), cand.set_id)
             stats.score_calls += 1
-            heap.push(cand.resolved_score, cand.set_id)
-            return
-        if heap.dominates(cand.ub):
-            stats.note_discard(cand.set_id, cand.ub, heap)
-            return
-        cand.resolved_score = score_fn(cand.set_id)
-        stats.score_calls += 1
-        heap.push_if_better(cand.resolved_score, cand.set_id)
 
     for sid in candidates:
         lb, ub = bound_fn(sid)
@@ -277,9 +245,7 @@ def enhanced_prune(
                 resolve(pool.extract_max_ub())
                 if heap.dominates(ub):
                     break
-            if heap.dominates(ub):
-                stats.note_discard(sid, ub, heap)
-            else:
+            if not heap.dominates(ub):
                 pool.insert(cand)
     remaining = pool.drain_live() + parked
     remaining.sort(key=lambda c: (-c.ub, c.set_id))

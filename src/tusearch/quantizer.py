@@ -80,9 +80,6 @@ class ClusterAssignment:
     flat: np.ndarray  # (total_vectors,) int32
     offsets: np.ndarray  # (n_sets + 1,) int64
 
-    def owner(self, set_id: int, index: int) -> int:
-        return int(self.flat[self.offsets[set_id] + index])
-
     def set_owners(self, set_id: int) -> np.ndarray:
         return self.flat[self.offsets[set_id] : self.offsets[set_id + 1]]
 
@@ -126,7 +123,10 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            # the draw of rng.choice(n, p=d2 / total), without its argument checks
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
         centroids[j] = points[idx]
         d2 = np.minimum(d2, _sq_dists(points, centroids[j : j + 1], p2)[:, 0])
     return centroids

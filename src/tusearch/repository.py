@@ -35,21 +35,6 @@ UNIT_TOL = 1e-6
 UNIT_ROUNDING = float(np.finfo(np.float32).eps)
 
 
-def similarity(u, v) -> float:
-    """Inner product of two equal-dimension vectors, accumulated in float64.
-
-    Symmetric and deterministic: both argument orders multiply the same
-    element pairs and reduce them in the same index order.
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim != 1 or v.ndim != 1 or u.shape[0] != v.shape[0]:
-        du = u.shape[0] if u.ndim == 1 else u.shape
-        dv = v.shape[0] if v.ndim == 1 else v.shape
-        raise DataError(f"dimension mismatch: {du} vs {dv}")
-    return float(np.dot(u.astype(np.float64, copy=False), v.astype(np.float64, copy=False)))
-
-
 def normalize_rows(rows: np.ndarray, where: str = "input", offsets=None) -> np.ndarray:
     """Normalize each row to unit length, returning float32.  Rows already
     unit within ``UNIT_ROUNDING`` are only converted, so normalizing twice

@@ -24,7 +24,7 @@ from tusearch.bundle import (
     save_bundle,
 )
 from tusearch.cli import main
-from tusearch.errors import DataError
+from tusearch.errors import DataError, UsageError
 from tusearch.evaluation import ground_truth_rankings, recall
 from tusearch.mwmto import partition_sims
 from tusearch.partitions import dispersion
@@ -118,9 +118,28 @@ def damaged_metadata():
         ("rho_low above rho_high", lambda m: m["config"].update(rho_low=0.9), "need 0 < rho_low"),
         ("string single_partition", lambda m: m["config"].update(single_partition="no"), "single_partition must be bool"),
         ("fractional n_c", lambda m: m["config"].update(n_c=1.5), "n_c must be int"),
+        ("null n_c", lambda m: m["config"].update(n_c=None), "n_c must be int >= 1, got None"),
+        ("negative seed", lambda m: m["config"].update(seed=-1), "seed must be int >= 0"),
         ("extra config key", lambda m: m["config"].update(dimension=12), "config must hold exactly"),
     ]
     return [pytest.param(change, match, id=label) for label, change, match in cases]
+
+
+# Build settings that build, save and load all refuse, each with a pattern
+# of the ``UsageError`` it raises.
+BAD_SETTINGS = [
+    pytest.param({"seed": 1.5}, "seed must be int >= 0", id="fractional seed"),
+    pytest.param({"seed": -1}, "seed must be int >= 0", id="negative seed"),
+    pytest.param({"seed": True}, "seed must be int >= 0", id="bool seed"),
+    pytest.param({"n_c": 0}, "n_c must be int >= 1", id="zero n_c"),
+    pytest.param({"n_c": 2.5}, "n_c must be int >= 1", id="fractional n_c"),
+    pytest.param({"single_partition": "no"}, "single_partition must be bool", id="string single_partition"),
+    pytest.param({"rho_low": 0.9}, "need 0 < rho_low < rho_high", id="rho_low above rho_high"),
+]
+
+
+def untrained(*args, **kwargs):
+    raise AssertionError("trained a codebook")
 
 
 class TestBundleRoundTrip:
@@ -271,6 +290,46 @@ class TestBundleRoundTrip:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert hashed == []
 
+    @pytest.mark.parametrize("setting, match", BAD_SETTINGS)
+    def test_bad_build_setting_is_a_usage_error_and_writes_nothing(
+        self, sources, saved, tmp_path, monkeypatch, setting, match
+    ):
+        monkeypatch.setattr("tusearch.quantizer.train_codebook", untrained)
+        with pytest.raises(UsageError, match=match):
+            build_engine(ingest_repository(sources[0]), **setting)
+        engine = load_bundle(saved)
+        engine.build_config.update(setting)
+        with pytest.raises(UsageError, match=match):
+            save_bundle(tmp_path / "b", engine)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_numpy_typed_settings_save_and_load_as_python_values(self, sources, tmp_path, single):
+        repo = ingest_repository(sources[0])
+        plain = save_bundle(tmp_path / "plain", build_engine(repo, n_c=9, seed=3, single_partition=single))
+        typed = save_bundle(tmp_path / "typed", build_engine(
+            repo, n_c=np.int64(9), seed=np.int32(3), rho_low=np.float64(0.2), single_partition=np.bool_(single),
+        ))
+        for path in plain.iterdir():
+            assert (typed / path.name).read_bytes() == path.read_bytes(), path.name
+        config = load_bundle(typed).build_config
+        assert config == {"n_c": 9, "seed": 3, "rho_low": 0.2, "rho_high": 0.8, "single_partition": single}
+        assert [type(config[key]) for key in CONFIG_KEYS] == [int, int, float, float, bool]
+
+    def test_payload_outside_the_bundle_is_a_data_error(self, saved, tmp_path, capsys):
+        bundle = shutil.copytree(saved, tmp_path / "b")
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / "payload.f32").write_bytes((saved / "repository.f32").read_bytes())
+        manifest = (saved / "repository.tsv").read_text()
+        assert manifest.count("\trepository.f32\t") > 1
+        outside = manifest.replace("\trepository.f32\t", "\t../outside/payload.f32\t")
+        rewrite_component(bundle, "repository.tsv", outside.encode())
+        rewrite_component(bundle, "repository.f32", b"")
+        with pytest.raises(DataError, match="names payload '../outside/payload.f32', not repository.f32"):
+            load_bundle(bundle)
+        assert main(["inspect", "--bundle", str(bundle)]) == 3
+        assert capsys.readouterr().err.startswith("error: repository.tsv names payload")
+
     def test_version_1_bundle_must_be_rebuilt(self, saved, tmp_path, capsys):
         # and a version 2 bundle, whose partitions.bin began with the rho pair
         for version in (1, 2):
@@ -395,13 +454,17 @@ class TestCli:
         assert truth_calls == []
 
     def test_build_checks_thresholds_before_training(self, sources, tmp_path, capsys, monkeypatch):
-        def untrained(*args, **kwargs):
-            raise AssertionError("trained a codebook")
-
         monkeypatch.setattr("tusearch.quantizer.train_codebook", untrained)
         for flags in (["--rho-l", "0.9", "--rho-h", "0.3"], ["--rho-l", "nan", "--single-partition"]):
             assert main(["build", "--manifest", str(sources[0]), "--out", str(tmp_path / "b"), *flags]) == 2
             assert capsys.readouterr().err.startswith("error: need 0 < rho_low < rho_high <= 1")
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--n-c", "0"]])
+    def test_build_checks_settings_before_training(self, sources, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr("tusearch.quantizer.train_codebook", untrained)
+        assert main(["build", "--manifest", str(sources[0]), "--out", str(tmp_path / "b"), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0][2:].replace('-', '_')} must be int")
         assert not (tmp_path / "b").exists()
 
     def test_build_onto_existing_file_exits_3(self, sources, tmp_path, capsys):

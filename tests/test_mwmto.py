@@ -32,7 +32,7 @@ def rows_of(table):
     """The table's valid entries as per-query (group_id, similarity) lists."""
     return [
         [(int(g), float(table.sims[qi, g])) for g in np.flatnonzero(table.valid[qi])]
-        for qi in range(table.n_query)
+        for qi in range(table.sims.shape[0])
     ]
 
 
@@ -223,16 +223,16 @@ class TestBatchedTables:
             assert row_best_of(table_from(rows, caps)) == reference_row_best(rows, caps)
 
     def test_ub_is_the_descending_pool_sum(self):
-        """The upper bound sums the largest min(n_query, set_size) row
-        maxima in descending order, and never exceeds the sum of as many
-        of the pooled entries."""
+        """The upper bound sums the largest min(query vectors, set vectors)
+        row maxima in descending order, and never exceeds the sum of as
+        many of the pooled entries."""
         rng = np.random.default_rng(25)
         for _ in range(200):
             table = random_sparse_table(rng)
             rows = rows_of(table)
             row_max = sorted((max(s for _, s in row) if row else 0.0 for row in rows), reverse=True)
             pool = sorted((s for row in rows for _, s in row), reverse=True)
-            take = min(table.n_query, table.set_size)
+            take = min(table.sims.shape[0], table.capacities.sum())
             ub = bounds_for_mwmto(table).ub
             assert ub == float(sum(row_max[:take]))
             assert ub <= float(sum(pool[:take]))

@@ -158,7 +158,7 @@ class TestAssignAll:
         cents = np.vstack([np.eye(8, dtype=np.float32)[:3], repo.matrix[:1]])
         cb = Codebook(cents, train_seed=0)
         assignment = assign_all(repo, cb)
-        assert assignment.owner(0, 0) == 3  # zero distance to its own copy
+        assert assignment.flat[0] == 3  # zero distance to its own copy
 
     def test_exact_tie_goes_to_lower_id(self):
         matrix = np.array([[0.0, 1.0]], dtype=np.float32)
@@ -172,7 +172,7 @@ class TestAssignAll:
         masked = cents.copy()
         masked[0] = masked[2] = masked[3] = 100.0  # push others far away
         assignment = assign_all(repo, Codebook(masked, train_seed=0))
-        assert assignment.owner(0, 0) == 1
+        assert assignment.flat[0] == 1
 
     def test_matches_brute_force_scan(self):
         data = generate_synthetic(40, (3, 8), 8, 6, 0.4, seed=8)

@@ -1,4 +1,4 @@
-"""Repository layer: similarity primitive, ingestion, synthetic generation."""
+"""Repository layer: ingestion and synthetic generation."""
 
 from pathlib import Path
 
@@ -14,7 +14,6 @@ from tusearch.repository import (
     load_query_table,
     load_query_tables,
     normalize_rows,
-    similarity,
     split_repository,
     write_repository,
 )
@@ -38,35 +37,6 @@ def write_manifest(directory, blocks, dimension, stem="repo"):
     manifest = directory / f"{stem}.tsv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
-
-
-class TestSimilarity:
-    def test_unit_self_similarity_is_one(self):
-        u = np.array([0.6, 0.8], dtype=np.float32)
-        assert similarity(u, u) == pytest.approx(1.0, abs=1e-7)
-
-    def test_orthogonal_is_zero(self):
-        assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_hand_computed_dot(self):
-        # scalar-loop oracle for the same pair
-        u = np.array([0.6, 0.8])
-        v = np.array([0.8, 0.6])
-        expected = sum(float(a) * float(b) for a, b in zip(u, v))
-        assert expected == pytest.approx(0.96, abs=1e-12)
-        assert similarity(u, v) == pytest.approx(expected, abs=1e-12)
-
-    def test_symmetric_exactly(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            d = int(rng.integers(2, 40))
-            u = rng.standard_normal(d)
-            v = rng.standard_normal(d)
-            assert similarity(u, v) == similarity(v, u)
-
-    def test_dimension_mismatch_names_both(self):
-        with pytest.raises(DataError, match="3 vs 4"):
-            similarity(np.zeros(3), np.ones(4))
 
 
 class TestIngest:
