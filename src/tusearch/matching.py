@@ -8,12 +8,14 @@ one extra matched pair always outweighs any possible weight change; the
 solver then only has to maximize the shifted total.
 
 ``row_best`` forms, for many tables laid side by side and with no loop
-per row or per table, the matching in which every row takes its best
-column while that column has room: a lower bound on the exact score of
-each table, and the exact optimum of each table where no column ran out
-of room.  Both search stages read their lower bounds from it.
+per row or per table, the matching in which every row proposes its best
+column and each column keeps its best proposers while it has room: a
+lower bound on the exact score of each table, and the exact optimum of
+each ``settled`` table, where every row a column turned away could use no
+other column.  Both search stages read their lower bounds from it.
 ``set_bounds`` brackets the exact score of a query against many sets of a
-repository at once, from one product over the sets' gathered rows, and
+repository at once, from one product over the sets' gathered rows; its
+upper bound also weighs a vertex cover of each set's threshold graph.
 ``exact_topk`` verifies sets in descending upper bound until no unverified
 set can reach the k-th weight: the exact scan that ground truth is made of.
 
@@ -126,27 +128,43 @@ class RowBest:
     choice: np.ndarray  # n_rows x n_tables, the column a row keeps within its table, -1 if none
     weight: np.ndarray  # the kept entries summed in row order
     count: np.ndarray  # the rows kept
-    fit: np.ndarray  # no proposal was turned away
+    settled: np.ndarray  # the matching is the exact optimum (see ``row_best``)
     lb: np.ndarray  # lower bound on the exact score
     copies: np.ndarray  # per column, the most a matching can use it: min(capacity, rows reaching it)
+    cover: np.ndarray | None  # a vertex cover's weight, an upper bound on the exact score, if asked for
 
 
-def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts) -> RowBest:
+def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts, cover: bool = False) -> RowBest:
     """The row-best matching of tables laid side by side in ``sims``, table
     t from column ``starts[t]``, each column usable ``capacities`` times.
 
     In each table every row proposes its first-best valid column, and each
-    column keeps its first ``capacities`` proposers in row order.  One pass
-    lists the valid entries; everything after it works on those entries,
-    with no loop per row or per table.  The result is feasible, so its
-    weight W of cardinality c bounds the exact score from below once c is
-    ``most``, the most rows a matching can take: min(rows with a valid
+    column keeps its ``capacities`` best proposers, ties to the lower row.
+    One pass lists the valid entries; everything after it works on those
+    entries, with no loop per row or per table.  The result is feasible, so
+    its weight W of cardinality c bounds the exact score from below once c
+    is ``most``, the most rows a matching can take: min(rows with a valid
     entry, sum of min(capacity, reach)).  Below ``most`` the exact score's
     larger matching weighs at least ``matching_floors``, and the bound is
-    the smaller of the two.  A table that turned no proposal away (``fit``)
-    matched every row that has a valid entry at its maximum: that is the
-    exact optimum, and W, summed in row order, is the assignment solver's
-    weight.
+    the smaller of the two.
+
+    A table is ``settled`` when every column that turned a proposal away
+    had proposals only from rows with no other valid entry in the table.
+    Such a row can use no other column, so no matching takes more rows than
+    the row-best one, and none weighs more: every other row has its
+    maximum, and each full column its best proposers.  The row-best
+    matching is then the exact optimum and its lower bound is W.  W is
+    summed in row order, as the assignment solver sums its weight, so the
+    two are equal wherever the solver's shifted profits (``sims + W``)
+    still tell the entries apart.
+
+    With ``cover``, each table also gets the weight of a vertex cover of
+    its valid entries, a row weighing its maximum and a column its maximum
+    times its ``copies``.  A row pays when some column it reaches is
+    reached by fewer rows than the row reaches columns, and each column
+    reached by a row that does not pay pays too.  Every valid entry then
+    has a paying end that weighs at least as much, so by LP duality
+    (König–Egerváry) no matching weighs more than the cover.
     """
     n_rows, n_cols = sims.shape
     starts = np.asarray(starts, dtype=np.int64)
@@ -170,8 +188,15 @@ def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts) -> RowBest
     # each pair proposes its first column at the maximum
     at_max = np.flatnonzero(vals == pair_max[pair_of])
     proposed = cols[at_max[np.diff(pair_of[at_max], prepend=-1) > 0]]
-    # each proposal's rank among its column's proposals, in row order
-    order = np.argsort(proposed, kind="stable")
+    # each proposal's rank among its column's proposals, best first and
+    # ties to the lower row.  numpy's stable sorts take several times as
+    # long as its default one, so the default one sorts a key with no ties:
+    # column, then value rank (equal values share one), then pair order.
+    n_pairs = len(head)
+    by_value = np.argsort(-pair_max)
+    value_rank = np.empty(n_pairs, dtype=np.int64)
+    value_rank[by_value] = np.cumsum(np.diff(pair_max[by_value], prepend=np.inf) != 0)
+    order = np.argsort((proposed * (n_pairs + 1) + value_rank) * n_pairs + np.arange(n_pairs))
     by_col = proposed[order]
     pos = np.arange(len(order))
     run = np.ones(len(order), dtype=bool)
@@ -189,17 +214,30 @@ def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts) -> RowBest
     # cumsum adds down each column in row order; a column sum may not
     weight = np.cumsum(taken, axis=0)[-1] if n_rows else np.zeros(n_tables)
     count = np.bincount(kept_table, minlength=n_tables)
-    fit = np.bincount(pair_table[~kept], minlength=n_tables) == 0
+    turned_away = np.zeros(n_cols, dtype=bool)
+    turned_away[proposed[~kept]] = True
+    pair_size = np.diff(head, append=len(flat))  # columns each pair's row reaches in its table
+    settled = np.bincount(pair_table[(pair_size > 1) & turned_away[proposed]], minlength=n_tables) == 0
 
-    copies = np.minimum(caps, np.bincount(cols, minlength=n_cols))
+    reach = np.bincount(cols, minlength=n_cols)
+    copies = np.minimum(caps, reach)
     most = np.minimum(np.bincount(pair_table, minlength=n_tables), np.add.reduceat(copies, starts))
     lb = weight.copy()
-    short = np.flatnonzero(count < most)
+    short = np.flatnonzero((count < most) & ~settled)
     if len(short):
         row_min = np.full((n_rows, n_tables), np.inf)
         row_min[pair_row, pair_table] = np.minimum.reduceat(vals, head)
         lb[short] = np.minimum(weight[short], matching_floors(row_min[:, short], count[short]))
-    return RowBest(row_max, choice, weight, count, fit, lb, copies)
+    cover_weight = None
+    if cover:
+        pays = np.minimum.reduceat(reach[cols], head) < pair_size
+        col_pays = np.zeros(n_cols, dtype=bool)
+        col_pays[cols[np.repeat(~pays, pair_size)]] = True
+        col_max = np.zeros(n_cols)
+        np.maximum.at(col_max, cols, vals)
+        cover_weight = (np.bincount(pair_table[pays], pair_max[pays], n_tables)
+                        + np.bincount(owner[col_pays], (copies * col_max)[col_pays], n_tables))
+    return RowBest(row_max, choice, weight, count, settled, lb, copies, cover_weight)
 
 
 def _bounded_product(q_mat: np.ndarray, repo, sids: np.ndarray, tau: float):
@@ -229,9 +267,10 @@ def set_bounds(q_mat: np.ndarray, repo, set_ids, tau: float) -> tuple[np.ndarray
     """Lower and upper bounds on ``unionability`` of the query against each
     listed set of ``repo``, from one product over the sets' gathered rows.
 
-    The upper bound is the smaller of the row-max and column-max sums over
-    the entries that clear tau.  The lower bound is ``row_best``'s with
-    every set column usable once.
+    The upper bound is the smallest of the row-max and column-max sums over
+    the entries that clear tau and the weight of ``row_best``'s vertex
+    cover.  The lower bound is ``row_best``'s with every set column usable
+    once.
     """
     sids = np.asarray(set_ids, dtype=np.int64)
     if len(sids) == 0:
@@ -239,8 +278,8 @@ def set_bounds(q_mat: np.ndarray, repo, set_ids, tau: float) -> tuple[np.ndarray
     if sids.min() < 0 or sids.max() >= repo.n_sets:
         raise DataError(f"unknown set_id in {sids.tolist()} (repository has {repo.n_sets} sets)")
     sims, valid, seg = _bounded_product(q_mat, repo, sids, tau)
-    best = row_best(sims, valid, 1, seg)
-    ub = _upper_bounds(sims, seg, best.row_max)
+    best = row_best(sims, valid, 1, seg, cover=True)
+    ub = np.minimum(_upper_bounds(sims, seg, best.row_max), best.cover)
     return np.minimum(best.lb, ub), ub
 
 

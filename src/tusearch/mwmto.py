@@ -15,24 +15,25 @@ to float64, get a product of their own.  Every group takes its first
 centroid's column, and groups of several centroids fold in the rest with
 one ``np.maximum`` per position in the group.  ``matching.row_best`` then
 runs once over all tables: every query vector proposes its best group,
-and each group keeps its first ``capacity`` proposers.
+and each group keeps its best ``capacity`` proposers.
 
 The lower bound is that row-best matching's weight, capped by
 ``matching.matching_floors`` where it takes fewer query vectors than a
 matching can; the upper bound sums the largest row maxima, as many as
-the smaller of the query's and the set's vector counts.  A table whose
-groups turned no proposal away has the row-best matching as its exact
-optimum.  Every other table's exact score is the shifted-weight
-assignment reduction from ``matching`` with each group expanded into
-identical columns, as many as it can be used: its capacity, or the
-number of query vectors that reach it if fewer.  The same pass builds
-those assignment problems for all such tables with one gather, so
-``mwmto_exact`` only solves.
+the smaller of the query's and the set's vector counts.  A ``settled``
+table, where every query vector a group turned away reaches no other
+group, has the row-best matching as its exact optimum.  Every other
+table's exact score is the shifted-weight assignment reduction from
+``matching`` with each group expanded into identical columns, as many as
+it can be used: its capacity, or the number of query vectors that reach
+it if fewer.  The same pass builds those assignment problems for all
+such tables with one gather, so ``mwmto_exact`` only solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,9 +58,9 @@ class PartitionSimTable:
     set: ``sims`` is ``n_query x n_groups`` float64 holding 0 below tau,
     ``valid`` marks the entries that clear tau, and ``capacities`` holds
     each group's vector count.  ``choice`` (each query vector's group, -1
-    for none), ``weight``, ``count`` and ``fit`` are the table's
+    for none), ``weight``, ``count`` and ``settled`` are the table's
     ``matching.row_best`` matching; ``lb`` and ``ub`` are the bounds
-    ``bounds_for_mwmto`` returns.  A table that is not ``fit`` and can
+    ``bounds_for_mwmto`` returns.  A table that is not ``settled`` and can
     match anything carries its assignment problem: ``profit`` over its
     groups expanded into identical columns, ``groups`` naming the group of
     each column; every other table has None in both.
@@ -94,16 +95,16 @@ def _side_by_side(sims, valid, capacities, starts) -> list[PartitionSimTable]:
     take = np.minimum(len(sims), np.add.reduceat(capacities, starts))
     ub = pooled[take, np.arange(len(starts))]
     ends = np.append(starts[1:], sims.shape[1])
-    problems = _assignment_problems(sims, valid, starts, ends, best.copies, np.flatnonzero(~best.fit))
+    problems = _assignment_problems(sims, valid, starts, ends, best.copies, np.flatnonzero(~best.settled))
     tables = []
-    for t, (a, b, weight, count, fit, low, high) in enumerate(zip(
+    for t, (a, b, weight, count, settled, low, high) in enumerate(zip(
         starts.tolist(), ends.tolist(), best.weight.tolist(), best.count.tolist(),
-        best.fit.tolist(), best.lb.tolist(), ub.tolist(),
+        best.settled.tolist(), best.lb.tolist(), ub.tolist(),
     )):
         table = PartitionSimTable.__new__(PartitionSimTable)
         table.sims, table.valid, table.capacities = sims[:, a:b], valid[:, a:b], capacities[a:b]
         table.choice = best.choice[:, t]
-        table.weight, table.count, table.fit, table.lb, table.ub = weight, count, fit, low, high
+        table.weight, table.count, table.settled, table.lb, table.ub = weight, count, settled, low, high
         table.profit, table.groups = problems.get(t, (None, None))
         tables.append(table)
     return tables
@@ -140,12 +141,21 @@ def _assignment_problems(sims, valid, starts, ends, copies, todo) -> dict[int, t
     }
 
 
-@dataclass(frozen=True)
-class MwmtoResult:
+class MwmtoResult(NamedTuple):
+    """An exact score and its matching.  Every settled table's call makes
+    one, so it is a named tuple, the cheapest record to make, and the
+    assignment dict is derived only when asked for."""
+
     score: float
     cardinality: int
-    assignment: dict[int, int]  # query index -> group id
+    choice: np.ndarray  # per query vector, its group, -1 for none
     row_best: bool = False  # taken from the row-best matching, with no solver call
+
+    @property
+    def assignment(self) -> dict[int, int]:
+        """Query index -> group id, for the matched query vectors."""
+        rows = np.flatnonzero(self.choice >= 0)
+        return dict(zip(rows.tolist(), self.choice[rows].tolist()))
 
 
 def partition_sims(
@@ -153,7 +163,7 @@ def partition_sims(
 ) -> dict[int, PartitionSimTable]:
     """Thresholded max-over-group-centroid similarities of every query
     vector to every group of each listed set of ``pindex``, with each
-    table's row-best matching, bounds and, where it is not ``fit``,
+    table's row-best matching, bounds and, where it is not ``settled``,
     assignment problem, all from one batched pass."""
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
@@ -199,23 +209,24 @@ def partition_sims(
 def mwmto_exact(table: PartitionSimTable) -> MwmtoResult:
     """Maximum-cardinality-then-maximum-weight capacity-respecting assignment.
 
-    A table whose row-best matching is ``fit`` returns it: every query
-    vector with a valid entry takes its best group, which no assignment
-    beats in cardinality or weight.  Otherwise the table's assignment
-    problem, built with all others by ``partition_sims``, is solved: each
-    group as ``min(capacity, reach)`` identical columns, ``reach`` being
-    the number of query vectors with a valid entry in it.  No assignment
-    can use a group more often, so the optimum is that of the full
-    expansion; groups that no query vector reaches drop out.
+    A ``settled`` table returns its row-best matching as it is: no
+    assignment beats it in cardinality or weight (``matching.row_best``).
+    Otherwise the table's assignment problem, built with all others by
+    ``partition_sims``, is solved: each group as ``min(capacity, reach)``
+    identical columns, ``reach`` being the number of query vectors with a
+    valid entry in it.  No assignment can use a group more often, so the
+    optimum is that of the full expansion; groups that no query vector
+    reaches drop out.
     """
-    if table.fit:
-        rows = np.flatnonzero(table.choice >= 0)
-        assignment = dict(zip(rows.tolist(), table.choice[rows].tolist()))
-        return MwmtoResult(table.weight, table.count, assignment, row_best=True)
+    if table.settled:
+        return MwmtoResult(table.weight, table.count, table.choice, True)
+    choice = np.full(len(table.choice), -1, dtype=np.int64)
     if table.profit is None:
-        return MwmtoResult(0.0, 0, {})
+        return MwmtoResult(0.0, 0, choice)
     res = solve_profit(table.profit, table.sims, table.valid, table.groups)
-    return MwmtoResult(res.weight, res.cardinality, dict(res.assignment))
+    for qi, gid in res.assignment:
+        choice[qi] = gid
+    return MwmtoResult(res.weight, res.cardinality, choice)
 
 
 def bounds_for_mwmto(table: PartitionSimTable) -> BoundPair:

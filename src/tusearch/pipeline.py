@@ -8,14 +8,16 @@ capacitated many-to-one score against each set's partitions, pruning with
 the row-best bounds; one batched pass over the ``PartitionIndex`` arrays,
 as build wrote them or the bundle stored them and each checked them with
 ``PartitionIndex.validate``, gives the similarity tables of all stage-1
-candidates, their row-best bounds, their exact scores where every query
-column's best group has room, and the assignment problems of the rest.
-Stage 3 scores each survivor with the exact thresholded matching against
-all of the set's vectors, pruning with the bounds of
-``matching.set_bounds``: one product of the query with every survivor's
-rows gives all of them.  Queries are independent; every search call
-keeps its own scratch state, so one engine serves many threads.  Search
-reads none of the build settings in ``build_config``.
+candidates, their row-best bounds, their exact scores where the row-best
+matching is settled (every query column a group turned away reaches no
+other group), and the assignment problems of the rest.  Stage 3 scores
+each survivor with the exact thresholded matching against all of the
+set's vectors, pruning with the bounds of ``matching.set_bounds``, whose
+upper bound also weighs a vertex cover of each threshold graph: one
+product of the query with every survivor's rows gives all of them.
+Queries are independent; every search call keeps its own scratch state,
+so one engine serves many threads.  Search reads none of the build
+settings in ``build_config``.
 """
 
 from __future__ import annotations

@@ -46,7 +46,10 @@ def normalize_rows(rows: np.ndarray, where: str = "input", offsets=None) -> np.n
     ``offsets[i]:offsets[i + 1]`` and a message names ``{where} {i}`` and
     the index within that set.
     """
-    rows64 = np.asarray(rows, dtype=np.float64)
+    # widening a signalling NaN sets the invalid flag; the NaN it becomes
+    # is refused below
+    with np.errstate(invalid="ignore"):
+        rows64 = np.asarray(rows, dtype=np.float64)
     if rows64.ndim != 2:
         raise DataError(f"expected a 2-d vector block for {where}")
 

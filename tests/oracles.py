@@ -118,38 +118,43 @@ def reference_partition_sims(q_mat, pset, cb, tau: float) -> list[list[tuple[int
 def reference_row_best(
     rows: list[list[tuple[int, float]]], capacities: list[int]
 ) -> tuple[float, int, bool, list[int], float]:
-    """One table's row-best matching by a loop over its rows: each row
-    proposes its best entry (ties to the lower group) and a group takes its
-    proposers in row order while it has capacity left.  Returns the weight
-    (added in row order), the rows kept, whether every proposal was kept,
-    each row's kept group (-1 for none) and the lower bound: the weight if
-    the rows kept are min(rows with an entry, sum of min(capacity, rows
-    reaching the group)), else the smaller of the weight and the sum of the
-    count + 1 smallest row minima."""
-    left = list(capacities)
+    """One table's row-best matching by loops over its rows and groups:
+    each row proposes its best entry (ties to the lower group) and a group
+    keeps its best proposers, ties to the lower row, as many as its
+    capacity.  Returns the weight (added in row order), the rows kept,
+    whether the table is settled (every row a group turned away has no
+    other entry), each row's kept group (-1 for none) and the lower bound:
+    the weight if the table is settled or the rows kept are min(rows with
+    an entry, sum of min(capacity, rows reaching the group)), else the
+    smaller of the weight and the sum of the count + 1 smallest row
+    minima."""
     reach = [0] * len(capacities)
-    weight, count, fit, choice = 0.0, 0, True, []
-    for row in rows:
+    proposals: dict[int, list[tuple[float, int]]] = {}
+    for qi, row in enumerate(rows):
         for gid, _ in row:
             reach[gid] += 1
-        if not row:
-            choice.append(-1)
-            continue
-        gid, s = min(row, key=lambda e: (-e[1], e[0]))
-        if left[gid] > 0:
-            left[gid] -= 1
-            weight += s
+        if row:
+            gid, s = min(row, key=lambda e: (-e[1], e[0]))
+            proposals.setdefault(gid, []).append((-s, qi))
+    choice = [-1] * len(rows)
+    settled = True
+    for gid, props in proposals.items():
+        props.sort()
+        for _, qi in props[: capacities[gid]]:
+            choice[qi] = gid
+        if len(props) > capacities[gid] and any(len(rows[qi]) > 1 for _, qi in props):
+            settled = False
+    weight, count = 0.0, 0
+    for row, gid in zip(rows, choice):
+        if gid >= 0:
+            weight += dict(row)[gid]
             count += 1
-            choice.append(gid)
-        else:
-            fit = False
-            choice.append(-1)
     most = min(sum(1 for row in rows if row), sum(min(c, r) for c, r in zip(capacities, reach)))
     lb = weight
-    if count < most:
+    if count < most and not settled:
         mins = sorted(min(s for _, s in row) for row in rows if row)
         lb = min(weight, sum(mins[: count + 1]))
-    return weight, count, fit, choice, lb
+    return weight, count, settled, choice, lb
 
 
 def reference_refine(n_sets, n_query, top_centroids_of, postings, phi_c, phi_ref, trace=None):

@@ -207,6 +207,17 @@ class TestBundleRoundTrip:
         assert main(["inspect", "--bundle", str(bundle)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.filterwarnings("error")
+    def test_signalling_nan_payload_is_a_data_error(self, saved, tmp_path, capsys):
+        bundle = shutil.copytree(saved, tmp_path / "s")
+        raw = bytearray((bundle / "repository.f32").read_bytes())
+        raw[4:8] = (0x7F800001).to_bytes(4, "little")
+        rewrite_component(bundle, "repository.f32", bytes(raw))
+        with pytest.raises(DataError, match="non-finite vector at set 0, index 0"):
+            load_bundle(bundle)
+        assert main(["inspect", "--bundle", str(bundle)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_partition_arrays_are_checked_on_load(self, saved, tmp_path):
         engine = load_bundle(saved)
         for i, (match, pindex) in enumerate(damaged_partition_indexes(engine)):

@@ -24,6 +24,7 @@ def pristine(tmp_path_factory):
     return files, QueryTable(repo.vectors_of(3)), tmp_path_factory.mktemp("work")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_damaged_components_raise_only_tusearch_errors(pristine, data):

@@ -28,6 +28,7 @@ from tusearch.matching import (
     solve_shifted_assignment,
     unionability,
 )
+from tusearch.pruning import BOUND_SLACK
 from tusearch.repository import VectorSetRepository
 
 
@@ -225,8 +226,8 @@ class TestRowBest:
         caps = 1 if unit else np.concatenate([caps for _, caps in tables])
         best = row_best(sims, sims > 0.0, caps, starts)
         for t, (rows, table_caps) in enumerate(tables):
-            weight, count, fit, choice, lb = reference_row_best(rows, table_caps)
-            assert (best.weight[t], best.count[t], best.fit[t], best.lb[t]) == (weight, count, fit, lb)
+            weight, count, settled, choice, lb = reference_row_best(rows, table_caps)
+            assert (best.weight[t], best.count[t], best.settled[t], best.lb[t]) == (weight, count, settled, lb)
             assert best.choice[:, t].tolist() == choice
             assert best.row_max[:, t].tolist() == [max((s for _, s in row), default=0.0) for row in rows]
 
@@ -261,6 +262,35 @@ class TestSetBounds:
             lb, ub = set_bounds(q, repo, [0], 0.5)
             assert lb[0] <= weight + 1e-9
             assert weight <= ub[0] + 1e-9
+
+    def test_cover_is_tighter_than_both_sums(self):
+        # Query columns 0-2 reach only set column 0, query column 3 only set
+        # columns 1-3: the row-max sum is 3.35 and the column-max sum 3.45.
+        # Query column 3 and set column 0 cover every entry, at 1.8, which
+        # is the exact score.
+        sims = [[.9, 0, 0, 0], [.8, 0, 0, 0], [.75, 0, 0, 0], [0, .9, .85, .8]]
+        q, v = sets_from_sims(sims)
+        repo = VectorSetRepository(v, [0, len(v)])
+        exact = unionability(q, repo.vectors_of(0), 0.6)
+        assert (exact.cardinality, exact.weight) == (2, pytest.approx(1.8, abs=1e-6))
+        lb, ub = set_bounds(q, repo, [0], 0.6)
+        assert ub[0] == pytest.approx(1.8, abs=1e-6)
+        assert lb[0] == pytest.approx(1.8, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(repositories(), st.data())
+    def test_ub_between_the_exact_score_and_both_sums(self, case, data):
+        query, repo, tau = case
+        cands = data.draw(st.lists(
+            st.integers(0, repo.n_sets - 1), min_size=1, max_size=repo.n_sets, unique=True
+        ))
+        _, ub = set_bounds(query, repo, cands, tau)
+        for sid, high in zip(cands, ub.tolist()):
+            vectors = repo.vectors_of(sid)
+            sims = query.astype(np.float64) @ vectors.astype(np.float64).T
+            kept = np.where(sims >= tau, sims, 0.0)
+            assert high <= min(kept.max(axis=1).sum(), kept.max(axis=0).sum()) + 1e-12
+            assert brute_force_unionability(query, vectors, tau).weight - BOUND_SLACK <= high
 
     def test_empty_candidate_list(self):
         repo = VectorSetRepository(np.eye(2), [0, 2])

@@ -1,5 +1,7 @@
 """Three-stage search pipeline: stage wiring, clustered scoring, exactness."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,19 @@ class TestSearch:
                 assert f"row_best_scores={diag.filter_row_best_scores} " in filter_line
                 taken += diag.filter_row_best_scores
         assert taken > 0
+
+    def test_counters_agree(self, workload):
+        _, queries, engine = workload
+        for pruner in ("bf", "base", "enhanced"):
+            params = SearchParams(k=5, tau=0.7, phi_c=8, phi_ref=40, phi_r=15, pruner=pruner)
+            for query in queries[:8]:
+                start = time.perf_counter()
+                diag = engine.search(query, params).diagnostics
+                wall = time.perf_counter() - start
+                assert diag.filter_score_calls <= diag.refine_candidates
+                assert diag.scoring_score_calls <= diag.filter_candidates <= diag.refine_candidates
+                assert diag.result_count <= diag.filter_candidates
+                assert sum(diag.stage_seconds.values()) <= wall
 
     def test_exact_seconds_within_their_stage(self, workload):
         _, queries, engine = workload

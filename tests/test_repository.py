@@ -75,6 +75,14 @@ class TestIngest:
         assert np.array_equal(again.offsets, repo.offsets)
         assert np.abs(again.matrix - repo.matrix).max() <= 1e-7
 
+    @pytest.mark.filterwarnings("error")
+    def test_signalling_nan_is_a_data_error(self):
+        # float32 bits 0x7f800001: widening them to float64 warns "invalid
+        # value encountered in cast" unless that flag is ignored
+        bits = np.array([[0x3F800000, 0], [0, 0x7F800001]], dtype="<u4")
+        with pytest.raises(DataError, match="non-finite vector at input, index 1"):
+            normalize_rows(bits.view("<f4"))
+
     def test_normalizing_unit_rows_again_changes_nothing(self):
         # At d=8 about one unit float32 row in a hundred moves by an ulp when
         # divided by its own float64 norm once more.
