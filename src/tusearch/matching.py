@@ -190,13 +190,18 @@ def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts, cover: boo
     proposed = cols[at_max[np.diff(pair_of[at_max], prepend=-1) > 0]]
     # each proposal's rank among its column's proposals, best first and
     # ties to the lower row.  numpy's stable sorts take several times as
-    # long as its default one, so the default one sorts a key with no ties:
-    # column, then value rank (equal values share one), then pair order.
+    # long as its default one, so the default one sorts keys with no ties:
+    # value rank (equal values share one), then pair order, gives each
+    # pair its place by value; column, then that place, gives the order.
+    # The keys stay below n_pairs**2 and n_cols * n_pairs, far from int64's
+    # limit for any product that fits in memory.
     n_pairs = len(head)
     by_value = np.argsort(-pair_max)
     value_rank = np.empty(n_pairs, dtype=np.int64)
     value_rank[by_value] = np.cumsum(np.diff(pair_max[by_value], prepend=np.inf) != 0)
-    order = np.argsort((proposed * (n_pairs + 1) + value_rank) * n_pairs + np.arange(n_pairs))
+    place = np.empty(n_pairs, dtype=np.int64)
+    place[np.argsort(value_rank * n_pairs + np.arange(n_pairs))] = np.arange(n_pairs)
+    order = np.argsort(proposed * n_pairs + place)
     by_col = proposed[order]
     pos = np.arange(len(order))
     run = np.ones(len(order), dtype=bool)

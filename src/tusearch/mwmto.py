@@ -142,20 +142,13 @@ def _assignment_problems(sims, valid, starts, ends, copies, todo) -> dict[int, t
 
 
 class MwmtoResult(NamedTuple):
-    """An exact score and its matching.  Every settled table's call makes
-    one, so it is a named tuple, the cheapest record to make, and the
-    assignment dict is derived only when asked for."""
+    """An exact score.  Every settled table's call makes one, so it is a
+    named tuple, the cheapest record to make; the matching behind it is the
+    table's ``choice`` where ``row_best``, else the solver's on ``profit``."""
 
     score: float
     cardinality: int
-    choice: np.ndarray  # per query vector, its group, -1 for none
     row_best: bool = False  # taken from the row-best matching, with no solver call
-
-    @property
-    def assignment(self) -> dict[int, int]:
-        """Query index -> group id, for the matched query vectors."""
-        rows = np.flatnonzero(self.choice >= 0)
-        return dict(zip(rows.tolist(), self.choice[rows].tolist()))
 
 
 def partition_sims(
@@ -207,10 +200,11 @@ def partition_sims(
 
 
 def mwmto_exact(table: PartitionSimTable) -> MwmtoResult:
-    """Maximum-cardinality-then-maximum-weight capacity-respecting assignment.
+    """The score of the maximum-cardinality-then-maximum-weight
+    capacity-respecting assignment.
 
-    A ``settled`` table returns its row-best matching as it is: no
-    assignment beats it in cardinality or weight (``matching.row_best``).
+    A ``settled`` table returns its row-best matching's: no assignment
+    beats it in cardinality or weight (``matching.row_best``).
     Otherwise the table's assignment problem, built with all others by
     ``partition_sims``, is solved: each group as ``min(capacity, reach)``
     identical columns, ``reach`` being the number of query vectors with a
@@ -219,14 +213,11 @@ def mwmto_exact(table: PartitionSimTable) -> MwmtoResult:
     reaches drop out.
     """
     if table.settled:
-        return MwmtoResult(table.weight, table.count, table.choice, True)
-    choice = np.full(len(table.choice), -1, dtype=np.int64)
+        return MwmtoResult(table.weight, table.count, True)
     if table.profit is None:
-        return MwmtoResult(0.0, 0, choice)
+        return MwmtoResult(0.0, 0)
     res = solve_profit(table.profit, table.sims, table.valid, table.groups)
-    for qi, gid in res.assignment:
-        choice[qi] = gid
-    return MwmtoResult(res.weight, res.cardinality, choice)
+    return MwmtoResult(res.weight, res.cardinality)
 
 
 def bounds_for_mwmto(table: PartitionSimTable) -> BoundPair:

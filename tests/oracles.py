@@ -65,7 +65,8 @@ def enumerate_best_matching(sims: np.ndarray, valid: np.ndarray) -> tuple[int, f
 
 def enumerate_mwmto(rows: list[list[tuple[int, float]]], capacities: list[int]) -> tuple[int, float]:
     """Exhaustive capacity-respecting many-to-one assignment, maximizing
-    (cardinality, weight) lexicographically."""
+    (cardinality, weight) lexicographically.  Weights are summed in row
+    order in the entries' own arithmetic: exactly for ``Fraction``s."""
     best = [(0, 0.0)]
     caps = list(capacities)
 
@@ -81,7 +82,7 @@ def enumerate_mwmto(rows: list[list[tuple[int, float]]], capacities: list[int]) 
                 go(qi + 1, card + 1, weight + s)
                 caps[gid] += 1
 
-    go(0, 0, 0.0)
+    go(0, 0, 0)
     return best[0]
 
 

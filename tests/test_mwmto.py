@@ -1,8 +1,10 @@
 """Capacitated many-to-one matching: similarity tables, exact score, bounds."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -12,7 +14,7 @@ from oracles import (
     reference_row_best,
 )
 from tusearch.errors import InvariantError
-from tusearch.matching import assignment_shift, solve_shifted_assignment, unionability
+from tusearch.matching import assignment_shift, solve_profit, solve_shifted_assignment, unionability
 from tusearch.mwmto import (
     BoundPair,
     PartitionSimTable,
@@ -53,6 +55,21 @@ def solver_result(table):
     """The assignment solver on the table's trimmed expansion."""
     _, sims, valid = trimmed_expansion(table)
     return solve_shifted_assignment(sims, valid)
+
+
+def matching_of(table):
+    """The matching whose score ``mwmto_exact`` returns, as query index ->
+    group id: a settled table's row-best choice, else the solver's on the
+    table's prepared problem.  Checks that it weighs that score."""
+    if table.settled:
+        pairs = [(qi, g) for qi, g in enumerate(table.choice.tolist()) if g >= 0]
+    elif table.profit is None:
+        pairs = []
+    else:
+        pairs = solve_profit(table.profit, table.sims, table.valid, table.groups).assignment
+    res = mwmto_exact(table)
+    assert (res.score, res.cardinality) == (float(sum(table.sims[qi, g] for qi, g in pairs)), len(pairs))
+    return dict(pairs)
 
 
 def random_dense_table(rng, tau=0.5):
@@ -312,7 +329,7 @@ class TestMwmtoExact:
         res = mwmto_exact(table)
         assert res.cardinality == 1
         assert res.score == pytest.approx(0.9, abs=1e-12)
-        assert res.assignment == {0: 0}
+        assert matching_of(table) == {0: 0}
 
     def test_settled_table_keeps_the_best_proposer(self):
         # three rows reach only group 0, of capacity one: keeping proposers
@@ -322,7 +339,7 @@ class TestMwmtoExact:
         assert reference_row_best(rows, [1]) == (0.9, 1, True, [-1, 0, -1], 0.9)
         assert row_best_of(table) == (0.9, 1, True, [-1, 0, -1], 0.9)
         res = mwmto_exact(table)
-        assert (res.score, res.cardinality, res.row_best, res.assignment) == (0.9, 1, True, {1: 0})
+        assert (res.score, res.cardinality, res.row_best, matching_of(table)) == (0.9, 1, True, {1: 0})
         assert enumerate_mwmto(rows, [1]) == (1, 0.9)
         # 1 - 2**-52 + W and 1 + W round to the same profit, so the solver
         # cannot tell these two apart; the settled matching keeps 1.0
@@ -336,12 +353,13 @@ class TestMwmtoExact:
         assert (table.settled, table.choice.tolist()) == (False, [0, -1])
         res = mwmto_exact(table)
         assert (res.cardinality, res.score, res.row_best) == (2, pytest.approx(1.65, abs=1e-12), False)
-        assert res.assignment == {0: 1, 1: 0}
+        assert matching_of(table) == {0: 1, 1: 0}
 
     def test_empty_table(self):
         for rows in ([[], []], []):
-            res = mwmto_exact(table_from(rows, [2]))
-            assert (res.score, res.cardinality, res.assignment) == (0.0, 0, {})
+            table = table_from(rows, [2])
+            res = mwmto_exact(table)
+            assert (res.score, res.cardinality, matching_of(table)) == (0.0, 0, {})
 
     @pytest.mark.parametrize("maker", [random_dense_table, random_sparse_table])
     def test_matches_exhaustive_enumeration(self, maker):
@@ -357,9 +375,8 @@ class TestMwmtoExact:
         rng = np.random.default_rng(7)
         for _ in range(100):
             table = random_sparse_table(rng)
-            res = mwmto_exact(table)
             usage = {}
-            for qi, gid in res.assignment.items():
+            for qi, gid in matching_of(table).items():
                 usage[gid] = usage.get(gid, 0) + 1
                 assert table.valid[qi, gid]
             for gid, used in usage.items():
@@ -499,7 +516,7 @@ class TestBounds:
     def test_greedy_breaks_ties_by_lower_group(self):
         table = table_from([[(1, 0.8), (0, 0.8)]], [1, 1])
         assert table.choice.tolist() == [0]
-        assert mwmto_exact(table).assignment == {0: 0}
+        assert matching_of(table) == {0: 0}
 
     def test_ub_monotone_in_tau(self):
         rng = np.random.default_rng(12)
@@ -550,7 +567,7 @@ def test_trimmed_expansion_matches_enumeration(case):
     assert bounds.lb <= want_weight + 1e-9
     assert want_weight <= bounds.ub + 1e-9
     used = {}
-    for qi, gid in res.assignment.items():
+    for qi, gid in matching_of(table).items():
         assert gid in dict(rows[qi])
         used[gid] = used.get(gid, 0) + 1
     assert all(n <= caps[gid] for gid, n in used.items())
@@ -585,8 +602,19 @@ def mixed_batches(draw):
     return PartitionIndex.pack(psets), cb, q, draw(st.sampled_from([0.05, 0.25, 0.5, 0.75]))
 
 
+def near_tie_batch():
+    """One set, one group of capacity one, and two query vectors at
+    1 - 2**-52 and 1.0 to it: the solver keeps the first, a settled table
+    the second."""
+    group = PartitionGroup(0, (0,), np.arange(1, dtype=np.int32))
+    pindex = PartitionIndex.pack([PartitionSet(0, [group], np.zeros((0, 2), dtype=np.float32))])
+    cb = Codebook(np.array([[1.0, 0.0]], dtype=np.float32), train_seed=0)
+    return pindex, cb, np.array([[1 - 2**-52, 0.0], [1.0, 0.0]]), 0.5
+
+
 @settings(max_examples=200, deadline=None)
 @given(mixed_batches())
+@example(near_tie_batch())
 def test_batched_solve_equals_the_expanded_solver(case):
     pindex, cb, q, tau = case
     tables = partition_sims(q, pindex, cb, range(pindex.n_sets), tau)
@@ -594,15 +622,20 @@ def test_batched_solve_equals_the_expanded_solver(case):
         res, ref = mwmto_exact(table), solver_result(table)
         assert res.row_best == table.settled
         assert row_best_of(table) == reference_row_best(rows_of(table), table.capacities.tolist())
+        matching = matching_of(table)
         if table.settled and res.score != ref.weight:
             # The solver maximizes s + W rounded to the spacing of W, so it
             # may keep the smaller of two entries closer than that, which
             # the settled matching does not (see the test of the best
-            # proposer); the two differ by that rounding alone.
-            _, sims, valid = trimmed_expansion(table)
-            spacing = np.spacing(assignment_shift(*sims.shape, sims[valid].max()))
-            assert res.cardinality == ref.cardinality
-            assert abs(res.score - ref.weight) <= res.cardinality * spacing
+            # proposer).  In exact arithmetic, the settled matching is then
+            # the enumerated optimum and outweighs the solver's.
+            exact = [[(g, Fraction(v)) for g, v in row] for row in rows_of(table)]
+            optimum = enumerate_mwmto(exact, table.capacities.tolist())
+            settled = sum(Fraction(table.sims[qi, g]) for qi, g in matching.items())
+            _, sims, _ = trimmed_expansion(table)
+            solved = sum(Fraction(sims[qi, c]) for qi, c in ref.assignment)
+            assert (res.cardinality, settled) == optimum
+            assert ref.cardinality == res.cardinality and solved <= settled
         else:
             assert (res.score, res.cardinality) == (ref.weight, ref.cardinality)
         if table.profit is not None:
@@ -611,6 +644,6 @@ def test_batched_solve_equals_the_expanded_solver(case):
             assert table.groups.tolist() == col_group.tolist()
             shift = assignment_shift(*sims.shape, sims[valid].max())
             assert np.array_equal(table.profit, np.where(valid, sims + shift, 0.0))
-        used = np.bincount(list(res.assignment.values()), minlength=len(table.capacities))
+        used = np.bincount(list(matching.values()), minlength=len(table.capacities))
         assert (used <= table.capacities).all()
-        assert all(table.valid[qi, g] for qi, g in res.assignment.items())
+        assert all(table.valid[qi, g] for qi, g in matching.items())
