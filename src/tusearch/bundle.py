@@ -7,9 +7,10 @@ index component in little-endian binary form, described by a single
 sha256 per component file, the one list of components).  Save and load
 check ``config`` by the rule of build, ``check_build_config``.  Loading
 checks that metadata first, then verifies every checksum, before any
-parsing; the repository manifest must name ``repository.f32`` as the
-payload of every record.  A component that then fails to decode is a
-data error too.  Nothing in a bundle depends on wall-clock time, so
+parsing; every record of the repository manifest must name
+``repository.f32`` as its payload, which ingest checks before it reads
+any payload.  A component that then fails to decode is a data error
+too.  Nothing in a bundle depends on wall-clock time, so
 identical builds are byte-identical.  The decoded partition arrays pass
 ``PartitionIndex.validate``, the same check build runs on its own output,
 before search reads them as they are.
@@ -165,16 +166,6 @@ def _read_meta(directory: Path) -> dict:
     return meta
 
 
-def _check_payload(manifest: Path) -> None:
-    """Raise ``DataError`` if a record of the bundle's repository manifest
-    names a payload other than ``repository.f32``, so that load reads no
-    file outside the bundle.  Records that ingest rejects are left to it."""
-    for line in manifest.read_bytes().decode("utf-8", errors="replace").splitlines()[1:]:
-        parts = line.split("\t")
-        if len(parts) == 4 and parts[2] != _PAYLOAD:
-            raise DataError(f"{_MANIFEST} names payload {parts[2]!r}, not {_PAYLOAD}")
-
-
 def load_bundle(directory) -> SearchEngine:
     """Verify and load a bundle directory back into a search engine."""
     directory = Path(directory)
@@ -188,8 +179,7 @@ def load_bundle(directory) -> SearchEngine:
             raise DataError(f"bundle checksum mismatch for {name}: {got} != {expect}")
     config = meta["config"]
     n_c = config["n_c"]
-    _check_payload(directory / _MANIFEST)
-    repo = ingest_repository(directory / _MANIFEST)
+    repo = ingest_repository(directory / _MANIFEST, payload=_PAYLOAD)  # reads no file outside the bundle
     raw = (directory / _CODEBOOK).read_bytes()
     if len(raw) != 4 * n_c * repo.dimension:
         raise DataError(f"{_CODEBOOK} holds {len(raw)} bytes, not {n_c} x {repo.dimension} float32")

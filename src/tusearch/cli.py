@@ -44,8 +44,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=0.7,
                    help="similarity threshold in (0, 1]; always set explicitly in configs (default 0.7)")
     p.add_argument("--phi-c", type=int, default=32, help="centroid probe size (default 32)")
-    p.add_argument("--phi-ref", type=int, default=None, help="refinement pool size (default 5k)")
-    p.add_argument("--phi-r", type=int, default=None, help="filter pool size (default 3k)")
+    p.add_argument("--phi-ref", type=int, default=None, help="refinement pool size (default max(5k, --phi-r))")
+    p.add_argument("--phi-r", type=int, default=None, help="filter pool size (default min(3k, --phi-ref))")
     p.add_argument("--pruner", choices=list(PRUNERS), default="enhanced")
 
 

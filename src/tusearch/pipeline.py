@@ -25,7 +25,7 @@ from __future__ import annotations
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,9 +45,10 @@ def _is_integer(value) -> bool:
 
 @dataclass
 class SearchParams:
-    """Knobs for one search.  phi_ref defaults to 5k and phi_r to 3k; the
-    stages nest, so k <= phi_r <= phi_ref is enforced.  The sizes must be
-    integers (numpy integers too, bools not) and tau a real number."""
+    """Knobs for one search.  An unset phi_r takes min(3k, phi_ref) and an
+    unset phi_ref max(5k, phi_r); the stages nest, so k <= phi_r <= phi_ref
+    is enforced.  The sizes must be integers (numpy integers too, bools not)
+    and tau a real number."""
 
     k: int = 10
     tau: float = 0.7
@@ -56,7 +57,9 @@ class SearchParams:
     phi_r: int | None = None
     pruner: str = "enhanced"
 
-    def resolve(self, n_sets: int) -> "ResolvedParams":
+    def resolve(self, n_sets: int) -> SearchParams:
+        """A checked copy with both pool sizes set and every size clamped to
+        the repository."""
         for name in ("k", "phi_c", "phi_ref", "phi_r"):
             value = getattr(self, name)
             if value is None and name in ("phi_ref", "phi_r"):
@@ -73,8 +76,11 @@ class SearchParams:
             raise UsageError(f"phi_c must be >= 1, got {self.phi_c}")
         if self.pruner not in PRUNERS:
             raise UsageError(f"pruner must be one of {tuple(PRUNERS)}, got {self.pruner!r}")
-        phi_r = 3 * self.k if self.phi_r is None else self.phi_r
-        phi_ref = 5 * self.k if self.phi_ref is None else self.phi_ref
+        phi_r, phi_ref = self.phi_r, self.phi_ref
+        if phi_r is None:
+            phi_r = 3 * self.k if phi_ref is None else min(3 * self.k, phi_ref)
+        if phi_ref is None:
+            phi_ref = max(5 * self.k, phi_r)
         if not self.k <= phi_r <= phi_ref:
             raise UsageError(
                 f"stage sizes must nest: k={self.k} <= phi_r={phi_r} <= phi_ref={phi_ref}"
@@ -84,24 +90,9 @@ class SearchParams:
                 f"k={self.k} exceeds the repository size ({n_sets}); returning all sets",
                 stacklevel=2,
             )
-        return ResolvedParams(
-            k=min(self.k, n_sets),
-            tau=self.tau,
-            phi_c=self.phi_c,
-            phi_ref=min(phi_ref, n_sets),
-            phi_r=min(phi_r, n_sets),
-            pruner=self.pruner,
+        return replace(
+            self, k=min(self.k, n_sets), phi_ref=min(phi_ref, n_sets), phi_r=min(phi_r, n_sets)
         )
-
-
-@dataclass(frozen=True)
-class ResolvedParams:
-    k: int
-    tau: float
-    phi_c: int
-    phi_ref: int
-    phi_r: int
-    pruner: str
 
 
 @dataclass
@@ -175,7 +166,7 @@ class SearchEngine:
         resolved = (params or SearchParams()).resolve(self.repo.n_sets)
         return self._refine(query.vectors.astype(np.float64), resolved, trace)
 
-    def _refine(self, q64: np.ndarray, params: ResolvedParams, trace=None):
+    def _refine(self, q64: np.ndarray, params: SearchParams, trace=None):
         ids, sims = top_centroids(self.codebook, q64, params.phi_c)
         pairs = np.stack((ids, sims), axis=-1)  # per query vector, (centroid id, sim) rows
         return refine(

@@ -6,10 +6,12 @@ exact scorer so the same code serves every pipeline stage:
 * ``exhaustive_rank``  scores everything (the reference baseline),
 * ``base_prune``       gates each candidate's exact scoring on its upper
                        bound against a min-heap of resolved scores,
-* ``enhanced_prune``   additionally parks candidates in a double-ended
-                       priority queue and defers resolution so that exact
-                       scores are computed in (approximately) descending
-                       order of promise, which tightens the gate sooner.
+* ``enhanced_prune``   bounds every candidate first, then resolves exact
+                       scores in descending upper bound from a double-ended
+                       priority queue and stops at the first upper bound the
+                       top heap dominates (Fagin's threshold rule), which no
+                       strategy that prunes by upper bounds alone can beat
+                       in exact calls.
 
 All three break score ties by the lower set id so their outputs are
 directly comparable.  A candidate is only ever dropped without scoring
@@ -110,14 +112,6 @@ class DoubleEndedQueue:
             raise UsageError(f"set_id {set_id} not live in queue")
         return entry[1]
 
-    def drain_live(self) -> list[BoundedCandidate]:
-        out = [entry[1] for entry in self._live.values()]
-        self._live.clear()
-        self._min_lb.clear()
-        self._min_ub.clear()
-        self._max_ub.clear()
-        return out
-
 
 class _TopHeap:
     """Min-heap of the best m (score, set id) pairs seen so far.  Orders by
@@ -199,58 +193,28 @@ def enhanced_prune(
     bound_fn,
     score_fn,
 ) -> tuple[list[tuple[int, float]], PruneStats]:
-    """Deferred-resolution top-m selection over a bound-tracking queue.
+    """Top-m selection in descending upper-bound order.
 
-    A pool of the m most promising unresolved candidates rides in a
-    double-ended priority queue.  Per candidate, a three-way decision:
-
-    * upper bound below the pool's weakest upper bound: park it for the
-      final pass (it cannot currently displace anything),
-    * lower bound above the pool's weakest lower bound: swap it in for the
-      pool's weakest-upper-bound member, which is parked instead,
-    * otherwise: resolve pool members in descending upper-bound order until
-      the newcomer is either provably out or can be pooled.
-
-    Parked candidates are re-examined at the end against the fully resolved
-    score heap in descending upper-bound order, so nothing is lost to a
-    bound overlap; most of them fail the gate by then and are dropped
-    without scoring.
+    Every candidate is bounded and inserted into a ``DoubleEndedQueue``;
+    candidates are then popped by maximum upper bound, ties by the lower
+    set id, and scored until the top heap dominates the popped upper
+    bound.  Every candidate still queued is bounded no higher, so it is
+    dropped unscored.  ``heap_ops`` counts the queue's sift operations.
     """
     if m < 1:
         raise UsageError(f"m must be >= 1, got {m}")
     stats = PruneStats()
     heap = _TopHeap(m)
     pool = DoubleEndedQueue()
-    parked: list[BoundedCandidate] = []
-
-    def resolve(cand: BoundedCandidate) -> None:
-        if not heap.dominates(cand.ub):
-            heap.offer(score_fn(cand.set_id), cand.set_id)
-            stats.score_calls += 1
-
     for sid in candidates:
-        lb, ub = bound_fn(sid)
+        pool.insert(BoundedCandidate(sid, *bound_fn(sid)))
         stats.bound_calls += 1
-        cand = BoundedCandidate(sid, lb, ub)
-        if len(pool) < m:
-            pool.insert(cand)
-            continue
-        if ub < pool.min_ub().ub:
-            parked.append(cand)
-        elif lb > pool.min_lb().lb:
-            parked.append(pool.remove(pool.min_ub().set_id))
-            pool.insert(cand)
-        else:
-            while len(pool) > 0 and ub >= pool.min_lb().lb and lb <= pool.min_ub().ub:
-                resolve(pool.extract_max_ub())
-                if heap.dominates(ub):
-                    break
-            if not heap.dominates(ub):
-                pool.insert(cand)
-    remaining = pool.drain_live() + parked
-    remaining.sort(key=lambda c: (-c.ub, c.set_id))
-    for cand in remaining:
-        resolve(cand)
+    while len(pool) > 0:
+        cand = pool.extract_max_ub()
+        if heap.dominates(cand.ub):
+            break
+        heap.offer(score_fn(cand.set_id), cand.set_id)
+        stats.score_calls += 1
     stats.heap_ops = pool.op_count
     return heap.ranked(), stats
 

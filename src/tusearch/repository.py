@@ -220,13 +220,18 @@ def _offsets(records) -> np.ndarray:
     return np.concatenate([[0], np.cumsum([count for _, count, _, _ in records])])
 
 
-def ingest_repository(manifest_path) -> VectorSetRepository:
+def ingest_repository(manifest_path, *, payload: str | None = None) -> VectorSetRepository:
     """Load and normalize a repository from a manifest.
 
     Deterministic given identical input bytes; every vector comes out with
-    unit norm (within float32 representation).
+    unit norm (within float32 representation).  With ``payload`` given,
+    every record must name that payload file, which is checked before any
+    payload is read.
     """
     dimension, records, directory = _parse_manifest(manifest_path)
+    for _, _, name, _ in records:
+        if payload is not None and name != payload:
+            raise DataError(f"{Path(manifest_path).name} names payload {name!r}, not {payload}")
     offsets = _offsets(records)
     rows = normalize_rows(_read_rows(records, dimension, directory), where="set", offsets=offsets)
     return VectorSetRepository(rows, offsets)

@@ -448,6 +448,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "\n" == err[err.index("\n"):]  # single line
+        # an unset --phi-r follows a small --phi-ref instead of failing to nest
+        assert main([
+            "search", "--bundle", str(tmp_path / "b"), "--query", str(single),
+            "-k", "10", "--phi-ref", "20",
+        ]) == 0
 
     def test_eval_rejects_bad_tau_before_ground_truth(self, sources, tmp_path, capsys, monkeypatch):
         manifest, queries, _ = sources

@@ -49,6 +49,24 @@ class TestParams:
         with pytest.raises(UsageError, match="nest"):
             SearchParams(k=10, phi_ref=20, phi_r=25).resolve(1000)
 
+    def test_unset_size_follows_the_set_one(self):
+        p = SearchParams(k=10, phi_ref=20).resolve(1000)
+        assert (p.phi_r, p.phi_ref) == (20, 20)
+        p = SearchParams(k=10, phi_r=80).resolve(1000)
+        assert (p.phi_r, p.phi_ref) == (80, 80)
+        p = SearchParams(k=10, phi_ref=200).resolve(1000)
+        assert (p.phi_r, p.phi_ref) == (30, 200)
+        p = SearchParams(k=10, phi_r=12).resolve(1000)
+        assert (p.phi_r, p.phi_ref) == (12, 50)
+        with pytest.raises(UsageError, match="nest"):
+            SearchParams(k=10, phi_ref=5).resolve(1000)
+
+    def test_resolve_returns_a_clamped_copy(self):
+        params = SearchParams(k=7, tau=0.5, phi_c=4, pruner="base")
+        p = params.resolve(20)
+        assert p == SearchParams(k=7, tau=0.5, phi_c=4, phi_ref=20, phi_r=20, pruner="base")
+        assert params.phi_ref is None and params.phi_r is None
+
     def test_k_beyond_repository_warns_and_clamps(self):
         with pytest.warns(UserWarning, match="returning all sets"):
             p = SearchParams(k=500).resolve(100)

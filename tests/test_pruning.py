@@ -239,6 +239,39 @@ class TestEnhancedPrune:
                     unscored += 1
         assert unscored > 0
 
+    def test_scores_the_descending_upper_bound_prefix(self):
+        # scores and bounds on a coarse grid, so upper bounds tie; some upper
+        # bounds sit up to BOUND_SLACK below the score they bound
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            m = int(rng.integers(1, 15))
+            ids = [int(s) for s in rng.permutation(10 * n)[:n]]
+            scores = {sid: float(rng.integers(0, 20)) / 20 for sid in ids}
+            bounds = {}
+            for sid in ids:
+                if rng.uniform() < 0.2:
+                    ub = scores[sid] - float(rng.uniform(0, BOUND_SLACK / 2))
+                else:
+                    ub = scores[sid] + float(rng.integers(0, 6)) / 20
+                bounds[sid] = (scores[sid] - 0.1, ub)
+            # the prefix of the (-ub, id) order before the first upper bound
+            # that m resolved scores exceed by more than the slack
+            prefix = []
+            resolved = []
+            for sid in sorted(ids, key=lambda s: (-bounds[s][1], s)):
+                if len(resolved) >= m and bounds[sid][1] + BOUND_SLACK < sorted(resolved)[-m]:
+                    break
+                prefix.append(sid)
+                resolved.append(scores[sid])
+            seen = []
+            got, stats = enhanced_prune(ids, m, bounds.__getitem__, lambda sid: seen.append(sid) or scores[sid])
+            assert seen == prefix
+            assert stats.score_calls == len(prefix)
+            assert got == exhaustive_rank(ids, m, scores.__getitem__)[0]
+            _, base_stats = base_prune(ids, m, bounds.__getitem__, scores.__getitem__)
+            assert stats.score_calls <= base_stats.score_calls
+
     def test_suite_level_work_reduction_on_unordered_streams(self):
         rng = np.random.default_rng(9)
         base_calls = []
