@@ -4,7 +4,8 @@ A bundle is a directory holding the canonical repository export plus every
 index component in little-endian binary form, described by a single
 ``bundle.json`` carrying the format version, ``config`` (the engine's
 ``build_config``: exactly the five build settings) and ``checksums`` (a
-sha256 per component file, the one list of components).  Save and load
+sha256 for each of exactly the five component files: the repository's
+manifest and payload and the three index components below).  Save and load
 check ``config`` by the rule of build, ``check_build_config``.  Loading
 checks that metadata first, then verifies every checksum, before any
 parsing; every record of the repository manifest must name
@@ -25,9 +26,8 @@ Format v3 stores three index components, each read with ``np.frombuffer``:
   ``centroid_ids`` and ``members`` and the number of cascade rows, then
   those arrays as int32 and the cascade rows as float32.
 
-Components that ``checksums`` names beyond these are verified and then
-ignored.  A bundle of another format version is a data error; it must be
-rebuilt.
+A ``checksums`` that names any other file, or lacks one of the five, is a
+data error, as is a bundle of another format version; it must be rebuilt.
 """
 
 from __future__ import annotations
@@ -133,9 +133,8 @@ def save_bundle(directory, engine: SearchEngine) -> Path:
 
 def _read_meta(directory: Path) -> dict:
     """Parse and check ``bundle.json``: a current-format object whose
-    checksums name plain files, among them every component load reads, and
-    whose config passes ``check_build_config``; anything else is a data
-    error."""
+    checksums name exactly the five components and whose config passes
+    ``check_build_config``; anything else is a data error."""
     meta_path = directory / _META
     if not meta_path.is_file():
         raise DataError(f"not a bundle (missing {_META}): {directory}")
@@ -153,12 +152,12 @@ def _read_meta(directory: Path) -> dict:
     for key in ("config", "checksums"):
         if not isinstance(meta.get(key), dict):
             raise DataError(f"{meta_path} lacks a dict {key!r}")
-    for name in meta["checksums"]:
-        if name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise DataError(f"bundle component {name!r} is not a file name in the bundle directory")
     missing = [name for name in _COMPONENTS if name not in meta["checksums"]]
     if missing:
         raise DataError(f"bundle checksums lack {', '.join(missing)}")
+    unknown = sorted(set(meta["checksums"]) - set(_COMPONENTS))
+    if unknown:
+        raise DataError(f"bundle checksums name unknown components: {', '.join(map(repr, unknown))}")
     try:
         meta["config"] = check_build_config(meta["config"])
     except UsageError as exc:
@@ -166,15 +165,20 @@ def _read_meta(directory: Path) -> dict:
     return meta
 
 
+def _component(directory: Path, name: str) -> Path:
+    """The path of a component; a missing file is a data error."""
+    path = directory / name
+    if not path.is_file():
+        raise DataError(f"bundle component missing: {name}")
+    return path
+
+
 def load_bundle(directory) -> SearchEngine:
     """Verify and load a bundle directory back into a search engine."""
     directory = Path(directory)
     meta = _read_meta(directory)
-    for name, expect in meta["checksums"].items():
-        path = directory / name
-        if not path.is_file():
-            raise DataError(f"bundle component missing: {name}")
-        got = _sha256(path)
+    for name in _COMPONENTS:
+        got, expect = _sha256(_component(directory, name)), meta["checksums"][name]
         if got != expect:
             raise DataError(f"bundle checksum mismatch for {name}: {got} != {expect}")
     config = meta["config"]
@@ -191,7 +195,8 @@ def load_bundle(directory) -> SearchEngine:
 
 
 def component_sizes(directory) -> dict[str, int]:
-    """On-disk byte size per bundle component."""
+    """On-disk byte size of each of the five bundle components; the
+    metadata is checked and the files are not hashed."""
     directory = Path(directory)
-    meta = _read_meta(directory)
-    return {name: (directory / name).stat().st_size for name in meta["checksums"]}
+    _read_meta(directory)
+    return {name: _component(directory, name).stat().st_size for name in _COMPONENTS}

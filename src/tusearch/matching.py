@@ -23,12 +23,18 @@ set can reach the k-th weight: the exact scan that ground truth is made of.
 enumeration over injective partial mappings (memoized over a bitmask of
 the smaller side) and is deliberately independent of the assignment-solver
 path.
+
+An exact score is a ``MatchingResult``: the cardinality and the weight
+only, since no caller reads which columns were paired.  ``check_tau`` is
+the one rule for a threshold, applied wherever one is taken.
 """
 
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +44,20 @@ from .pruning import BOUND_SLACK
 BRUTE_FORCE_MAX_SIDE = 8
 
 
-@dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(NamedTuple):
+    """An exact score: how many pairs the matching takes and what they weigh."""
+
     cardinality: int
     weight: float
-    assignment: list[tuple[int, int]]  # matched (left, right) pairs
+
+
+def check_tau(tau) -> None:
+    """A threshold must be a real number in (0, 1] and not a bool; anything
+    else, NaN included, is a usage error."""
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+        raise UsageError(f"tau must be a real number, got {tau!r}")
+    if not 0 < tau <= 1:
+        raise UsageError(f"tau must be in (0, 1], got {tau}")
 
 
 def _sim_matrix(q_mat: np.ndarray, v_mat: np.ndarray) -> np.ndarray:
@@ -69,7 +84,7 @@ def solve_shifted_assignment(sims: np.ndarray, valid: np.ndarray) -> MatchingRes
     optimum over partial matchings.
     """
     if not valid.any():
-        return MatchingResult(0, 0.0, [])
+        return MatchingResult(0, 0.0)
     shift = assignment_shift(*sims.shape, sims[valid].max())
     return solve_profit(np.where(valid, sims + shift, 0.0), sims, valid)
 
@@ -77,7 +92,8 @@ def solve_shifted_assignment(sims: np.ndarray, valid: np.ndarray) -> MatchingRes
 def solve_profit(profit: np.ndarray, sims: np.ndarray, valid: np.ndarray, column_of=None) -> MatchingResult:
     """``solve_shifted_assignment`` once its ``profit`` matrix is built;
     ``column_of`` maps each profit column to its column of ``sims`` and
-    ``valid``, which the returned pairs name (by default the same one)."""
+    ``valid`` (by default the same one), which decide whether each of the
+    solver's pairs counts and what it weighs."""
     # imported here: scipy.optimize is most of the package's import time,
     # and build, inspect and synth never solve an assignment
     from scipy.optimize import linear_sum_assignment
@@ -88,18 +104,17 @@ def solve_profit(profit: np.ndarray, sims: np.ndarray, valid: np.ndarray, column
     keep = valid[rows, cols]
     rows, cols = rows[keep], cols[keep]
     weight = float(sum(sims[rows, cols].tolist()))  # added left to right in row order
-    return MatchingResult(len(rows), weight, list(zip(rows.tolist(), cols.tolist())))
+    return MatchingResult(len(rows), weight)
 
 
 def unionability(q_mat: np.ndarray, v_mat: np.ndarray, tau: float) -> MatchingResult:
     """Exact thresholded matching score between two column-vector blocks.
 
-    Returns a matching of maximum cardinality whose weight is maximal among
-    all maximum-cardinality matchings.  Symmetric in its two arguments up to
-    the orientation of the returned pairs.
+    Returns the cardinality of a maximum matching and the largest weight
+    among all maximum-cardinality matchings.  Symmetric in its two
+    arguments.
     """
-    if tau <= 0:
-        raise UsageError(f"tau must be > 0, got {tau}")
+    check_tau(tau)
     sims = _sim_matrix(q_mat, v_mat)
     return solve_shifted_assignment(sims, sims >= tau)
 
@@ -249,8 +264,7 @@ def _bounded_product(q_mat: np.ndarray, repo, sids: np.ndarray, tau: float):
     """The query's product with the listed sets' gathered rows, 0 below tau;
     its valid mask; and each set's first column in it.  A query of another
     dimension than the repository's is a data error."""
-    if tau <= 0:
-        raise UsageError(f"tau must be > 0, got {tau}")
+    check_tau(tau)
     q_mat = np.asarray(q_mat)
     if q_mat.shape[-1] != repo.dimension:
         raise DataError(f"dimension mismatch: {q_mat.shape[-1]} vs {repo.dimension}")
@@ -320,15 +334,13 @@ def brute_force_unionability(q_mat: np.ndarray, v_mat: np.ndarray, tau: float) -
 
     Guard: the smaller side must have at most ``BRUTE_FORCE_MAX_SIDE``
     vectors.  Enumeration state is memoized on (next row, used-column mask)
-    with columns taken on the smaller side.
+    with columns taken on the smaller side; the result is the memoized
+    maximum itself, with no matching rebuilt from it.
     """
-    if tau <= 0:
-        raise UsageError(f"tau must be > 0, got {tau}")
+    check_tau(tau)
     sims = _sim_matrix(q_mat, v_mat)
-    transposed = False
     if sims.shape[1] > sims.shape[0]:
         sims = sims.T
-        transposed = True
     n_rows, n_cols = sims.shape
     if n_cols > BRUTE_FORCE_MAX_SIDE:
         raise UsageError(
@@ -354,29 +366,4 @@ def brute_force_unionability(q_mat: np.ndarray, v_mat: np.ndarray, tau: float) -
         memo[key] = out
         return out
 
-    card, weight = best(0, 0)
-
-    # Reconstruct one optimal assignment by replaying the DP decisions.
-    pairs: list[tuple[int, int]] = []
-    mask = 0
-    row = 0
-    remaining = (card, weight)
-    while row < n_rows and remaining[0] > 0:
-        skip = best(row + 1, mask)
-        took = False
-        for col in range(n_cols):
-            if valid[row, col] and not mask & (1 << col):
-                card2, weight2 = best(row + 1, mask | (1 << col))
-                cand = (card2 + 1, weight2 + float(sims[row, col]))
-                if abs(cand[1] - remaining[1]) < 1e-12 and cand[0] == remaining[0] and cand >= skip:
-                    pairs.append((row, col))
-                    mask |= 1 << col
-                    remaining = (card2, weight2)
-                    took = True
-                    break
-        if not took:
-            remaining = skip
-        row += 1
-    if transposed:
-        pairs = [(c, r) for r, c in pairs]
-    return MatchingResult(card, weight, pairs)
+    return MatchingResult(*best(0, 0))

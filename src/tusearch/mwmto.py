@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantError, UsageError
-from .matching import assignment_shift, ranges, row_best, solve_profit
+from .errors import InvariantError
+from .matching import assignment_shift, check_tau, ranges, row_best, solve_profit
 from .partitions import PartitionIndex
 from .quantizer import Codebook
 
@@ -143,8 +143,9 @@ def _assignment_problems(sims, valid, starts, ends, copies, todo) -> dict[int, t
 
 class MwmtoResult(NamedTuple):
     """An exact score.  Every settled table's call makes one, so it is a
-    named tuple, the cheapest record to make; the matching behind it is the
-    table's ``choice`` where ``row_best``, else the solver's on ``profit``."""
+    named tuple, the cheapest record to make.  The matching behind it is
+    the table's ``choice`` where ``row_best``; otherwise no one keeps it,
+    and tests rebuild it by solving ``profit`` again."""
 
     score: float
     cardinality: int
@@ -158,8 +159,7 @@ def partition_sims(
     vector to every group of each listed set of ``pindex``, with each
     table's row-best matching, bounds and, where it is not ``settled``,
     assignment problem, all from one batched pass."""
-    if tau <= 0:
-        raise UsageError(f"tau must be > 0, got {tau}")
+    check_tau(tau)
     sids = np.asarray(set_ids, dtype=np.int64)
     if len(sids) == 0:
         return {}

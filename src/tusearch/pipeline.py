@@ -66,12 +66,9 @@ class SearchParams:
                 continue  # defaulted below
             if not _is_integer(value):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
-            raise UsageError(f"tau must be a real number, got {self.tau!r}")
+        matching.check_tau(self.tau)
         if self.k < 1:
             raise UsageError(f"k must be >= 1, got {self.k}")
-        if not 0 < self.tau <= 1:
-            raise UsageError(f"tau must be in (0, 1], got {self.tau}")
         if self.phi_c < 1:
             raise UsageError(f"phi_c must be >= 1, got {self.phi_c}")
         if self.pruner not in PRUNERS:

@@ -16,7 +16,7 @@ import heapq
 
 import numpy as np
 
-from tusearch.matching import unionability
+from tusearch.matching import assignment_shift, unionability
 from tusearch.partitions import LOCAL_KMEANS_ITERS, PartitionGroup, PartitionIndex, PartitionSet, cascade_k, dispersion
 from tusearch.quantizer import Codebook, train_kmeans
 
@@ -40,6 +40,20 @@ def kuhn_matching_cardinality(valid: np.ndarray) -> int:
         if try_augment(u, [False] * n_right):
             size += 1
     return size
+
+
+def solver_pairs(sims: np.ndarray, valid: np.ndarray) -> list[tuple[int, int]]:
+    """The (row, column) pairs over ``valid`` cells that
+    ``scipy.optimize.linear_sum_assignment`` keeps on the shifted profit
+    ``matching.solve_shifted_assignment`` solves: ``sims + W`` on valid
+    cells, W from ``matching.assignment_shift``, and 0 elsewhere."""
+    from scipy.optimize import linear_sum_assignment
+
+    if not valid.any():
+        return []
+    shift = assignment_shift(*sims.shape, sims[valid].max())
+    rows, cols = linear_sum_assignment(np.where(valid, sims + shift, 0.0), maximize=True)
+    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if valid[r, c]]
 
 
 def enumerate_best_matching(sims: np.ndarray, valid: np.ndarray) -> tuple[int, float]:

@@ -104,7 +104,7 @@ def damaged_metadata():
         for name in READ_COMPONENTS
     ]
     cases += [
-        (f"name {name!r}", lambda m, n=name: m["checksums"].update({n: "0" * 64}), "not a file name")
+        (f"name {name!r}", lambda m, n=name: m["checksums"].update({n: "0" * 64}), "unknown components")
         for name in ("../x", "a/b", ".", "")
     ]
     cases += [
@@ -264,17 +264,21 @@ class TestBundleRoundTrip:
                 merged += has_merged[s]
         assert solved > 0 and cascade > 0 and merged > 0
 
-    def test_legacy_graph_component_is_verified_then_ignored(self, saved, sources, tmp_path):
-        # bundles from before the centroid graph was removed may list graph.bin
+    def test_extra_component_is_a_data_error(self, saved, tmp_path, capsys):
+        # a bundle lists exactly its five components, so the centroid graph
+        # of bundles from before its removal is refused, checksum and all
         bundle = shutil.copytree(saved, tmp_path / "g")
         rewrite_component(bundle, "graph.bin", b"\x01\x00\x00\x00" * 16)
-        query = QueryTable(ingest_repository(sources[0]).vectors_of(5))
-        params = SearchParams(k=5, tau=0.7, phi_c=8)
-        want = load_bundle(saved).search(query, params).items
-        assert load_bundle(bundle).search(query, params).items == want
-        (bundle / "graph.bin").write_bytes(b"\x02")
-        with pytest.raises(DataError, match="checksum mismatch for graph.bin"):
+        with pytest.raises(DataError, match="unknown components: 'graph.bin'"):
             load_bundle(bundle)
+        assert main(["inspect", "--bundle", str(bundle)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_component_sizes_of_a_missing_component_is_a_data_error(self, saved, tmp_path):
+        bundle = shutil.copytree(saved, tmp_path / "p")
+        (bundle / "partitions.bin").unlink()
+        with pytest.raises(DataError, match="bundle component missing: partitions.bin"):
+            component_sizes(bundle)
 
     def test_metadata_holds_the_settings_and_one_component_list(self, saved):
         meta = json.loads((saved / "bundle.json").read_text())

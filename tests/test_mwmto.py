@@ -12,9 +12,10 @@ from oracles import (
     random_unit_rows,
     reference_partition_sims,
     reference_row_best,
+    solver_pairs,
 )
 from tusearch.errors import InvariantError
-from tusearch.matching import assignment_shift, solve_profit, solve_shifted_assignment, unionability
+from tusearch.matching import assignment_shift, solve_shifted_assignment, unionability
 from tusearch.mwmto import (
     BoundPair,
     PartitionSimTable,
@@ -60,13 +61,14 @@ def solver_result(table):
 def matching_of(table):
     """The matching whose score ``mwmto_exact`` returns, as query index ->
     group id: a settled table's row-best choice, else the solver's on the
-    table's prepared problem.  Checks that it weighs that score."""
+    table's trimmed expansion, whose profit is the table's prepared problem
+    (``test_batched_solve_equals_the_expanded_solver``).  Checks that it
+    weighs that score."""
     if table.settled:
         pairs = [(qi, g) for qi, g in enumerate(table.choice.tolist()) if g >= 0]
-    elif table.profit is None:
-        pairs = []
     else:
-        pairs = solve_profit(table.profit, table.sims, table.valid, table.groups).assignment
+        col_group, sims, valid = trimmed_expansion(table)
+        pairs = [(qi, int(col_group[c])) for qi, c in solver_pairs(sims, valid)]
     res = mwmto_exact(table)
     assert (res.score, res.cardinality) == (float(sum(table.sims[qi, g] for qi, g in pairs)), len(pairs))
     return dict(pairs)
@@ -632,8 +634,8 @@ def test_batched_solve_equals_the_expanded_solver(case):
             exact = [[(g, Fraction(v)) for g, v in row] for row in rows_of(table)]
             optimum = enumerate_mwmto(exact, table.capacities.tolist())
             settled = sum(Fraction(table.sims[qi, g]) for qi, g in matching.items())
-            _, sims, _ = trimmed_expansion(table)
-            solved = sum(Fraction(sims[qi, c]) for qi, c in ref.assignment)
+            _, sims, valid = trimmed_expansion(table)
+            solved = sum(Fraction(sims[qi, c]) for qi, c in solver_pairs(sims, valid))
             assert (res.cardinality, settled) == optimum
             assert ref.cardinality == res.cardinality and solved <= settled
         else:
