@@ -94,6 +94,9 @@ class SearchParams:
 
 @dataclass
 class SearchDiagnostics:
+    refine_events: int = 0  # stage-1 (query vector, centroid) events on centroids that own slots
+    refine_touches: int = 0  # distinct (query vector, posting slot) pairs those events visit
+    refine_first_touches: int = 0  # (query vector, set) pairs touched: each one's first touch
     refine_candidates: int = 0
     filter_candidates: int = 0
     result_count: int = 0
@@ -113,7 +116,8 @@ class SearchDiagnostics:
 
     def lines(self) -> list[str]:
         out = [
-            f"stage=refine candidates={self.refine_candidates} "
+            f"stage=refine candidates={self.refine_candidates} events={self.refine_events} "
+            f"touches={self.refine_touches} first_touches={self.refine_first_touches} "
             f"ms={1e3 * self.stage_seconds.get('refine', 0.0):.3f}",
             f"stage=filter candidates={self.filter_candidates} "
             f"score_calls={self.filter_score_calls} bound_calls={self.filter_bound_calls} "
@@ -163,7 +167,7 @@ class SearchEngine:
         resolved = (params or SearchParams()).resolve(self.repo.n_sets)
         return self._refine(query.vectors.astype(np.float64), resolved, trace)
 
-    def _refine(self, q64: np.ndarray, params: SearchParams, trace=None):
+    def _refine(self, q64: np.ndarray, params: SearchParams, trace=None, counts=None):
         ids, sims = top_centroids(self.codebook, q64, params.phi_c)
         pairs = np.stack((ids, sims), axis=-1)  # per query vector, (centroid id, sim) rows
         return refine(
@@ -174,6 +178,7 @@ class SearchEngine:
             params.phi_c,
             params.phi_ref,
             trace=trace,
+            counts=counts,
         )
 
     def _check_query(self, query: QueryTable) -> None:
@@ -191,9 +196,13 @@ class SearchEngine:
         tau = resolved.tau
 
         t0 = time.perf_counter()
-        stage1 = self._refine(q64, resolved)
+        counts: dict = {}
+        stage1 = self._refine(q64, resolved, counts=counts)
         stage1_ids = [sid for sid, _ in stage1]
         diag.refine_candidates = len(stage1_ids)
+        diag.refine_events = counts["events"]
+        diag.refine_touches = counts["touches"]
+        diag.refine_first_touches = counts["first_touches"]
         t1 = time.perf_counter()
         diag.stage_seconds["refine"] = t1 - t0
 

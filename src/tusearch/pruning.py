@@ -7,9 +7,9 @@ exact scorer so the same code serves every pipeline stage:
 * ``base_prune``       gates each candidate's exact scoring on its upper
                        bound against a min-heap of resolved scores,
 * ``enhanced_prune``   bounds every candidate first, then resolves exact
-                       scores in descending upper bound from a double-ended
-                       priority queue and stops at the first upper bound the
-                       top heap dominates (Fagin's threshold rule), which no
+                       scores in descending upper bound from one max-heap
+                       and stops at the first upper bound the top heap
+                       dominates (Fagin's threshold rule), which no
                        strategy that prunes by upper bounds alone can beat
                        in exact calls.
 
@@ -53,6 +53,8 @@ class DoubleEndedQueue:
     entry dead everywhere except the view the caller popped from; dead
     entries are purged when they surface at a root.  ``op_count`` counts
     individual sift operations (heap pushes and pops) for cost accounting.
+    No pruner uses it: ``enhanced_prune`` pops only by maximum upper bound,
+    which one heap serves.
     """
 
     def __init__(self):
@@ -195,27 +197,28 @@ def enhanced_prune(
 ) -> tuple[list[tuple[int, float]], PruneStats]:
     """Top-m selection in descending upper-bound order.
 
-    Every candidate is bounded and inserted into a ``DoubleEndedQueue``;
+    Every candidate is bounded and pushed onto one heap of (-ub, set id);
     candidates are then popped by maximum upper bound, ties by the lower
     set id, and scored until the top heap dominates the popped upper
     bound.  Every candidate still queued is bounded no higher, so it is
-    dropped unscored.  ``heap_ops`` counts the queue's sift operations.
+    dropped unscored.  ``heap_ops`` counts that heap's pushes and pops.
     """
     if m < 1:
         raise UsageError(f"m must be >= 1, got {m}")
     stats = PruneStats()
     heap = _TopHeap(m)
-    pool = DoubleEndedQueue()
+    pool: list[tuple[float, int]] = []
     for sid in candidates:
-        pool.insert(BoundedCandidate(sid, *bound_fn(sid)))
+        heapq.heappush(pool, (-bound_fn(sid)[1], sid))
         stats.bound_calls += 1
-    while len(pool) > 0:
-        cand = pool.extract_max_ub()
-        if heap.dominates(cand.ub):
+    stats.heap_ops = len(pool)
+    while pool:
+        neg_ub, sid = heapq.heappop(pool)
+        stats.heap_ops += 1
+        if heap.dominates(-neg_ub):
             break
-        heap.offer(score_fn(cand.set_id), cand.set_id)
+        heap.offer(score_fn(sid), sid)
         stats.score_calls += 1
-    stats.heap_ops = pool.op_count
     return heap.ranked(), stats
 
 

@@ -431,7 +431,8 @@ class TestCli:
         rank, sid, score, card = ranked[0].split("\t")
         assert rank == "1"
         float(score), int(sid), int(card)
-        assert any(l.startswith("# stage=refine") for l in lines)
+        assert any(l.startswith("# stage=refine") and " events=" in l and " touches=" in l
+                   and " first_touches=" in l for l in lines)
         assert any(l.startswith("# stage=filter") and " row_best_scores=" in l for l in lines)
 
     def test_search_defaults_phi_r_to_3k(self, tmp_path, capsys):

@@ -236,6 +236,23 @@ class TestSearch:
                 assert diag.scoring_score_calls <= diag.filter_candidates <= diag.refine_candidates
                 assert diag.result_count <= diag.filter_candidates
                 assert sum(diag.stage_seconds.values()) <= wall
+                n_query, n_slots = query.n_vectors, len(engine.postings.sets)
+                assert diag.refine_events <= n_query * params.phi_c
+                assert diag.refine_first_touches <= diag.refine_touches <= n_query * n_slots
+                assert diag.refine_candidates <= diag.refine_first_touches
+
+    def test_full_drain_counts_every_slot(self, workload):
+        # phi_c >= n_c: every query vector drains every centroid, so stage 1
+        # visits every (query vector, slot) and first-touches every set
+        repo, queries, engine = workload
+        owning = np.count_nonzero(np.diff(engine.postings.ptr))
+        params = SearchParams(k=5, tau=0.7, phi_c=engine.codebook.n_c, phi_ref=40, phi_r=15)
+        for query in queries[:4]:
+            diag = engine.search(query, params).diagnostics
+            assert diag.refine_events == query.n_vectors * owning
+            assert diag.refine_touches == query.n_vectors * len(engine.postings.sets)
+            assert diag.refine_first_touches == query.n_vectors * repo.n_sets
+            assert f"touches={diag.refine_touches} first_touches={diag.refine_first_touches}" in diag.lines()[0]
 
     def test_exact_seconds_within_their_stage(self, workload):
         _, queries, engine = workload

@@ -196,6 +196,17 @@ class TestEnhancedPrune:
             assert calls[0] == m
             assert [sid for sid, _ in got] == ids[:m]
 
+    def test_heap_ops_count_one_push_per_candidate_and_each_pop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(1, 60))
+            m = int(rng.integers(1, 15))
+            order, bounds, scores = random_candidates(rng, n)
+            _, stats = enhanced_prune(order, m, bounds.__getitem__, scores.__getitem__)
+            # the pop that meets a dominated bound is counted, then stops
+            stopped = stats.score_calls < n
+            assert stats.heap_ops == n + stats.score_calls + stopped
+
     def test_matches_exhaustive_on_random_instances(self):
         rng = np.random.default_rng(6)
         for _ in range(150):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import reference_refine
 from tusearch.errors import UsageError
 from tusearch.pipeline import SearchParams, build_engine
-from tusearch.quantizer import ClusterAssignment, build_indexes
+from tusearch.quantizer import ClusterAssignment, build_indexes, top_centroids
 from tusearch.refinement import RefinementTrace, refine
 from tusearch.repository import QueryTable, generate_synthetic
 
@@ -171,8 +171,14 @@ class TestEdgeCases:
         engine = build_engine(data.repository, n_c=5, seed=2)
         query = QueryTable(data.repository.vectors_of(7))
         every = engine.refine(query, SearchParams(k=5, phi_c=5, phi_ref=40))
-        assert engine.refine(query, SearchParams(k=5, phi_c=50, phi_ref=40)) == every
+        trace = RefinementTrace()
+        assert engine.refine(query, SearchParams(k=5, phi_c=50, phi_ref=40), trace=trace) == every
         assert len(every) == 40  # every centroid probed: every set touched
+        ids, sims = top_centroids(engine.codebook, query.vectors.astype(np.float64), 50)
+        tops = fixed_tops([list(zip(i.tolist(), v.tolist())) for i, v in zip(ids, sims)])
+        want = RefinementTrace()
+        assert every == reference_refine(40, query.n_vectors, tops, engine.postings, 50, 40, want)
+        assert trace == want
 
     def test_single_query_vector(self):
         postings, _ = make_postings([[0, 1], [1], [1, 1], [2]])
@@ -189,6 +195,23 @@ class TestEdgeCases:
         got = refine(1, 3, tops, postings, phi_c=1, phi_ref=1)
         assert got == [(0, (0.3 + 0.2) + 0.1)]
         assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
+
+    def test_set_major_trace_lists_first_touches_in_drain_order(self):
+        # every query vector drains both centroids, so the pass runs set by
+        # set; the trace still lists each event's sets in drain order
+        postings, _ = make_postings([[1, 1], [0, 1], [0]])
+        tops = fixed_tops([[(0, 0.25), (1, 0.75)], [(1, 0.5), (0, 0.875)]])
+        counts, trace = {}, RefinementTrace()
+        got = refine(3, 2, tops, postings, phi_c=2, phi_ref=3, trace=trace, counts=counts)
+        assert counts == {"events": 4, "touches": 2 * 4, "first_touches": 2 * 3}
+        want = RefinementTrace()
+        assert got == reference_refine(3, 2, tops, postings, 2, 3, want)
+        assert trace == want
+        # drain order: (q1, c0, .875), (q0, c1, .75), (q1, c1, .5), (q0, c0, .25)
+        assert trace.accepted == [
+            (1, 1, 0, 0.875), (2, 1, 0, 0.875), (0, 0, 1, 0.75), (1, 0, 1, 0.75), (0, 1, 1, 0.5),
+        ]
+        assert trace.blocked == [(2, 0, 0)]
 
     def test_ties_at_the_cut_go_to_the_lower_set_id(self):
         # set 4 leads; sets 1, 2, 5 and 7 tie behind it and the cut keeps two
@@ -225,18 +248,56 @@ def refinement_instances(draw):
     return assignments, n_c, per_query, phi_ref
 
 
-@settings(max_examples=300, deadline=None)
-@given(refinement_instances())
-def test_matches_heap_drain(case):
-    assignments, n_c, per_query, phi_ref = case
+def check_against_heap_drain(assignments, n_c, per_query, phi_ref) -> dict:
+    """``refine`` equals ``reference_refine`` in its list, its trace and its
+    counts; returns the counts."""
     postings, _ = make_postings(assignments, n_c=n_c)
     n_sets, n_query = len(assignments), len(per_query)
     phi_c = max(1, max(len(r) for r in per_query))
-    got_trace, want_trace = RefinementTrace(), RefinementTrace()
-    got = refine(n_sets, n_query, fixed_tops(per_query), postings, phi_c, phi_ref, got_trace)
+    got_trace, want_trace, counts = RefinementTrace(), RefinementTrace(), {}
+    got = refine(n_sets, n_query, fixed_tops(per_query), postings, phi_c, phi_ref, got_trace, counts=counts)
     want = reference_refine(n_sets, n_query, fixed_tops(per_query), postings, phi_c, phi_ref, want_trace)
     assert got == want
     assert got_trace.events == want_trace.events
     assert got_trace.accepted == want_trace.accepted
     assert got_trace.blocked == want_trace.blocked
     assert got_trace.used == want_trace.used
+    # live events, distinct (query vector, slot) pairs, (query vector, set) chances
+    distinct = {(qi, cid) for qi, cid, _ in want_trace.events}
+    assert counts == {
+        "events": len(want_trace.events),
+        "touches": sum(len(postings[cid][0]) for _, cid in distinct),
+        "first_touches": len(want_trace.accepted) + len(want_trace.blocked),
+    }
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(refinement_instances())
+def test_matches_heap_drain(case):
+    check_against_heap_drain(*case)
+
+
+@st.composite
+def full_drain_instances(draw):
+    """Stage-1 inputs that run set by set: every query vector lists every
+    centroid, in any order, and some list one of them a second time with
+    another similarity."""
+    assignments, n_c, per_query, phi_ref = draw(refinement_instances())
+    sim = st.one_of(st.sampled_from(QUARTERS), st.floats(-1.0, 1.0))
+    full = []
+    for _ in per_query:
+        row = [(c, draw(sim)) for c in draw(st.permutations(range(n_c)))]
+        if draw(st.booleans()):
+            row.insert(draw(st.integers(0, n_c)), (draw(st.integers(0, n_c - 1)), draw(sim)))
+        full.append(row)
+    return assignments, n_c, full, phi_ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_drain_instances())
+def test_full_drain_matches_heap_drain(case):
+    assignments, n_c, per_query, phi_ref = case
+    counts = check_against_heap_drain(assignments, n_c, per_query, phi_ref)
+    n_slots = len(make_postings(assignments, n_c=n_c)[0].sets)
+    assert counts["touches"] == len(per_query) * n_slots  # the set-major form ran
