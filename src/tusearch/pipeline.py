@@ -97,6 +97,7 @@ class SearchDiagnostics:
     refine_events: int = 0  # stage-1 (query vector, centroid) events on centroids that own slots
     refine_touches: int = 0  # distinct (query vector, posting slot) pairs those events visit
     refine_first_touches: int = 0  # (query vector, set) pairs touched: each one's first touch
+    refine_set_major: bool = False  # stage 1 found first touches set by set, not touch by touch
     refine_candidates: int = 0
     filter_candidates: int = 0
     result_count: int = 0
@@ -118,6 +119,7 @@ class SearchDiagnostics:
         out = [
             f"stage=refine candidates={self.refine_candidates} events={self.refine_events} "
             f"touches={self.refine_touches} first_touches={self.refine_first_touches} "
+            f"form={'set' if self.refine_set_major else 'touch'} "
             f"ms={1e3 * self.stage_seconds.get('refine', 0.0):.3f}",
             f"stage=filter candidates={self.filter_candidates} "
             f"score_calls={self.filter_score_calls} bound_calls={self.filter_bound_calls} "
@@ -203,6 +205,7 @@ class SearchEngine:
         diag.refine_events = counts["events"]
         diag.refine_touches = counts["touches"]
         diag.refine_first_touches = counts["first_touches"]
+        diag.refine_set_major = counts["set_major"]
         t1 = time.perf_counter()
         diag.stage_seconds["refine"] = t1 - t0
 

@@ -13,17 +13,22 @@ similarity threshold applies at this stage, so negative contributions are
 possible and simply rank low.
 
 The drain is one array pass, not a loop over events.  It finds the first
-touch of each (query vector, set) in one of two forms, chosen by the input:
+touch of each (query vector, set) in one of two forms, chosen by a cost rule
+on the input (``SET_MAJOR_RATIO``):
 
-* *Set-major*, when every query vector drains every centroid that owns
-  slots, so the touches number ``n_query × n_slots`` (``phi_c >= n_c``).
-  An ``n_c × n_query`` table of drain positions is gathered along the
-  slots in set order and reduced by minimum over each set's run of slots:
-  every (query vector, set)'s first touch, with no scatter.  A sort of each
-  set's row puts its first touches in drain order.
+* *Set-major*, when the ``n_query × n_slots`` table of every (query vector,
+  slot) is at most ``SET_MAJOR_RATIO`` times the touches.  An ``n_c ×
+  n_query`` table of drain positions is gathered along the slots in set
+  order and reduced by minimum over each set's run of slots: every (query
+  vector, set)'s first touch, with no scatter.  A pair that no event
+  touches keeps a sentinel and is dropped, and a sort of each set's row
+  puts its first touches in drain order.  Of perfbench's workloads,
+  ``concentrated`` (every query vector drains every centroid, ``phi_c >=
+  n_c``, a ratio of 1) and ``wide`` (about 3.5) run this form.
 * *Touch-major* otherwise: the sorted events are expanded into their
   posting slots (the *touches*), and the earliest touch of each (query
-  vector, set) is kept.
+  vector, set) is kept.  ``narrow`` (about 4.1-4.7) and the repositories
+  ten times larger (11-14) run this form.
 
 A first touch is accepted when its rank among the first touches of the
 same slot, in drain order, is below the slot's member count.  Each set's
@@ -45,6 +50,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
+
+# Set-major reads n_query × n_slots table entries where touch-major expands
+# n_touch touches and scatters them, so it runs while that ratio is at most
+# 4.  Measured in-process on perfbench inputs (seed 121): touch-major costs
+# about 9.3 ns a touch on wide and 11.7 ns on narrow, set-major about 1.1
+# and 2.7 ns an entry, so the break-even ratio is about 8 on wide and 4.4
+# on narrow.  Per query, wide reads 3.43-3.50 (set-major), narrow 4.11-4.68
+# (touch-major), concentrated 1.0, and the 10× repositories 11-14.
+SET_MAJOR_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -111,8 +125,8 @@ def refine(
     ``top_centroids_of(qi)`` supplies query vector ``qi``'s (centroid id,
     similarity) rows in any order: a list of pairs or an ``(n, 2)`` array.
     A ``counts`` dict receives ``events`` (live events, repeats included),
-    ``touches`` (distinct (query vector, slot) pairs visited) and
-    ``first_touches``.
+    ``touches`` (distinct (query vector, slot) pairs visited),
+    ``first_touches`` and ``set_major`` (which form ran).
     """
     if phi_c < 1 or phi_ref < 1:
         raise UsageError(f"phi_c and phi_ref must be >= 1, got {phi_c}, {phi_ref}")
@@ -142,12 +156,12 @@ def refine(
     degree[at.take(ekey) != position] = 0
     n_touch = int(degree.sum())
 
-    if n_touch and n_touch == n_query * len(postings.sets):
+    set_major = 0 < n_touch and n_query * len(postings.sets) <= SET_MAJOR_RATIO * n_touch
+    if set_major:
         first_set, first_event, first_slot = _first_by_set(postings, at.reshape(n_c, n_query), n_ev)
-        touched_slots = np.arange(len(postings.sets))
     else:
-        first_set, first_event, first_slot, touched_slots = _first_by_touch(
-            postings, n_sets, n_query, qi, cid, degree, n_touch, trace is not None
+        first_set, first_event, first_slot = _first_by_touch(
+            postings, n_sets, n_query, qi, cid, degree, n_touch
         )
 
     # Accept while the slot's earlier first touches leave room under its
@@ -178,24 +192,26 @@ def refine(
         cand, neg = cand[keep], neg[keep]
     ranked = cand[np.lexsort((cand, neg))[:phi_ref]]
     if counts is not None:
-        counts.update(events=n_ev, touches=n_touch, first_touches=len(first_slot))
+        counts.update(events=n_ev, touches=n_touch, first_touches=len(first_slot), set_major=set_major)
     if trace is not None:
         # the trace lists first touches in drain order, within an event by set
         drain = np.lexsort((first_set, first_event))
         _record(trace, postings, qi, cid, sim, first_set[drain], first_event[drain],
-                first_slot[drain], accept[drain], touched_slots)
+                first_slot[drain], accept[drain])
     return list(zip(ranked.tolist(), scores[ranked].tolist()))
 
 
 def _first_by_set(postings: Postings, at: np.ndarray, n_ev: int):
-    """The first touch of every (query vector, slot-owning set) when every
-    query vector drains every slot-owning centroid: ``at[c, q]`` is the
-    drain position of the event (c, q).  The table is gathered along
-    ``Postings.set_major``, each entry carrying its drain position above
-    its slot's rank, and each rank's block is folded into the rows it
+    """The first touch of every touched (query vector, slot-owning set):
+    ``at[c, q]`` is the drain position of the event (c, q), or the sentinel
+    ``n_ev`` when no live event drains c for q.  The table is gathered
+    along ``Postings.set_major``, each entry carrying its drain position
+    above its slot's rank, and each rank's block is folded into the rows it
     covers by an elementwise minimum: a segmented minimum over every set's
-    slots, whose low bits name the first touch's slot.  Returns (set,
-    event, slot) arrays, row by row, each row in drain order."""
+    slots, whose low bits name the first touch's place in ``slot``.  A
+    minimum at the sentinel is an untouched pair, dropped before its slot
+    is read.  Returns (set, event, slot) arrays, row by row, each row in
+    drain order."""
     slot, owner, rows, blocks = postings.set_major
     n_query = at.shape[1]
     bits = (len(blocks) - 2).bit_length()
@@ -208,17 +224,19 @@ def _first_by_set(postings: Postings, at: np.ndarray, n_ev: int):
         head = first[: len(block)]
         np.minimum(head, block, out=head)
     first.sort(axis=1)
-    first_event = (first >> bits).ravel()
-    row = np.arange(len(rows))[:, None]
-    first_slot = slot.take((blocks.take(first & ((1 << bits) - 1)) + row).ravel())
-    return np.repeat(rows, n_query), first_event, first_slot
+    first_set = np.repeat(rows, n_query)
+    where = (blocks.take(first & ((1 << bits) - 1)) + np.arange(len(rows))[:, None]).ravel()
+    first = first.ravel()
+    live = first < n_ev << bits
+    if not live.all():  # perfbench's wide and concentrated touch every pair
+        first_set, where, first = first_set[live], where[live], first[live]
+    return first_set, first >> bits, slot.take(where)
 
 
-def _first_by_touch(postings: Postings, n_sets, n_query, qi, cid, degree, n_touch, traced: bool):
+def _first_by_touch(postings: Postings, n_sets, n_query, qi, cid, degree, n_touch):
     """Expand the events into their ``n_touch`` touches, in drain order, and
     keep the earliest of each (query vector, set).  Returns (set, event,
-    slot) arrays of the first touches in drain order, and the touched slots
-    when ``traced``."""
+    slot) arrays of the first touches in drain order."""
     # ``take`` gathers by an int32 index without first widening it, unlike
     # fancy indexing.
     ends = np.cumsum(degree, dtype=np.int32)
@@ -234,12 +252,13 @@ def _first_by_touch(postings: Postings, n_sets, n_query, qi, cid, degree, n_touc
     np.minimum.at(earliest, key, touch)
     first = np.flatnonzero(earliest.take(key) == touch)
     first_event = np.repeat(np.arange(len(qi), dtype=np.int32), degree).take(first)
-    return touch_set.take(first), first_event, slot.take(first), np.unique(slot) if traced else None
+    return touch_set.take(first), first_event, slot.take(first)
 
 
-def _record(trace, postings, qi, cid, sim, first_set, first_event, first_slot, accept, slots) -> None:
+def _record(trace, postings, qi, cid, sim, first_set, first_event, first_slot, accept) -> None:
     """Fill ``trace`` from the pass's arrays, as an event-by-event drain
-    would: the first touches in drain order, ``slots`` the touched slots."""
+    would: the first touches in drain order, and the use of every slot of a
+    drained centroid."""
     trace.events.extend(zip(qi.tolist(), cid.tolist(), sim.tolist()))
     ev_a, ev_b = first_event[accept], first_event[~accept]
     trace.accepted.extend(
@@ -247,6 +266,9 @@ def _record(trace, postings, qi, cid, sim, first_set, first_event, first_slot, a
     )
     trace.blocked.extend(zip(first_set[~accept].tolist(), qi[ev_b].tolist(), cid[ev_b].tolist()))
     used = np.bincount(first_slot[accept], minlength=len(postings.sets))
+    drained = np.zeros(len(postings.ptr) - 1, dtype=bool)
+    drained[cid] = True
+    slots = np.flatnonzero(np.repeat(drained, np.diff(postings.ptr)))
     owner = np.searchsorted(postings.ptr, slots, side="right") - 1
     trace.used.update(
         zip(zip(postings.sets[slots].tolist(), owner.tolist()), used[slots].tolist())

@@ -289,10 +289,12 @@ def generate_synthetic(
     """Generate a clustered repository: each column is a noisy copy of one of
     ``n_topics`` unit topic directions.  Reproducible from ``seed``."""
     lo, hi = int(cols_range[0]), int(cols_range[1])
-    if n_sets < 1 or d < 2 or n_topics < 1 or noise < 0 or lo < 1 or hi < lo:
+    # NaN fails both comparisons of the noise test
+    seed_ok = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
+    if n_sets < 1 or d < 2 or n_topics < 1 or not 0 <= noise < np.inf or lo < 1 or hi < lo or not seed_ok:
         raise UsageError(
             "invalid synthetic parameters: need n_sets>=1, d>=2, n_topics>=1, "
-            "noise>=0, 1<=cols_lo<=cols_hi"
+            "finite noise>=0, 1<=cols_lo<=cols_hi, integer seed>=0"
         )
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_topics, d))

@@ -432,7 +432,8 @@ class TestCli:
         assert rank == "1"
         float(score), int(sid), int(card)
         assert any(l.startswith("# stage=refine") and " events=" in l and " touches=" in l
-                   and " first_touches=" in l for l in lines)
+                   and " first_touches=" in l and (" form=set " in l or " form=touch " in l)
+                   for l in lines)
         assert any(l.startswith("# stage=filter") and " row_best_scores=" in l for l in lines)
 
     def test_search_defaults_phi_r_to_3k(self, tmp_path, capsys):
@@ -598,6 +599,13 @@ class TestCli:
         out = tmp_path / "w"
         assert main(["synth", "--out", str(out), "--n-sets", "20", "--queries", "-3"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--noise", "nan"), ("--noise", "inf"), ("--seed", "-1")])
+    def test_synth_rejects_bad_noise_and_seed(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "w"
+        assert main(["synth", "--out", str(out), "--n-sets", "20", "--queries", "2", flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid synthetic parameters")
         assert not out.exists()
 
     def test_eval_reports_latency_and_exact_calls(self, sources, saved, capsys):

@@ -1,5 +1,6 @@
 """Three-stage search pipeline: stage wiring, clustered scoring, exactness."""
 
+import itertools
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ from tusearch.errors import DataError, UsageError
 from tusearch.evaluation import BenchConfig, make_workload
 from tusearch.matching import BRUTE_FORCE_MAX_SIDE, brute_force_unionability, exact_topk, set_bounds, unionability
 from tusearch.pipeline import SearchParams, build_engine
+from tusearch.refinement import SET_MAJOR_RATIO
 from tusearch.repository import QueryTable, generate_synthetic, split_repository
 
 
@@ -226,8 +228,10 @@ class TestSearch:
 
     def test_counters_agree(self, workload):
         _, queries, engine = workload
-        for pruner in ("bf", "base", "enhanced"):
-            params = SearchParams(k=5, tau=0.7, phi_c=8, phi_ref=40, phi_r=15, pruner=pruner)
+        forms = set()
+        # phi_c = 4 runs stage 1 touch by touch on this engine, phi_c = 8 set by set
+        for pruner, phi_c in itertools.product(("bf", "base", "enhanced"), (4, 8)):
+            params = SearchParams(k=5, tau=0.7, phi_c=phi_c, phi_ref=40, phi_r=15, pruner=pruner)
             for query in queries[:8]:
                 start = time.perf_counter()
                 diag = engine.search(query, params).diagnostics
@@ -240,6 +244,11 @@ class TestSearch:
                 assert diag.refine_events <= n_query * params.phi_c
                 assert diag.refine_first_touches <= diag.refine_touches <= n_query * n_slots
                 assert diag.refine_candidates <= diag.refine_first_touches
+                rule = n_query * n_slots <= SET_MAJOR_RATIO * diag.refine_touches
+                assert diag.refine_set_major == rule
+                assert f" form={'set' if rule else 'touch'} " in diag.lines()[0]
+                forms.add(diag.refine_set_major)
+        assert forms == {False, True}
 
     def test_full_drain_counts_every_slot(self, workload):
         # phi_c >= n_c: every query vector drains every centroid, so stage 1
@@ -252,6 +261,7 @@ class TestSearch:
             assert diag.refine_events == query.n_vectors * owning
             assert diag.refine_touches == query.n_vectors * len(engine.postings.sets)
             assert diag.refine_first_touches == query.n_vectors * repo.n_sets
+            assert diag.refine_set_major
             assert f"touches={diag.refine_touches} first_touches={diag.refine_first_touches}" in diag.lines()[0]
 
     def test_exact_seconds_within_their_stage(self, workload):

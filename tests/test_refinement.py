@@ -10,7 +10,7 @@ from oracles import reference_refine
 from tusearch.errors import UsageError
 from tusearch.pipeline import SearchParams, build_engine
 from tusearch.quantizer import ClusterAssignment, build_indexes, top_centroids
-from tusearch.refinement import RefinementTrace, refine
+from tusearch.refinement import SET_MAJOR_RATIO, RefinementTrace, refine
 from tusearch.repository import QueryTable, generate_synthetic
 
 
@@ -203,7 +203,7 @@ class TestEdgeCases:
         tops = fixed_tops([[(0, 0.25), (1, 0.75)], [(1, 0.5), (0, 0.875)]])
         counts, trace = {}, RefinementTrace()
         got = refine(3, 2, tops, postings, phi_c=2, phi_ref=3, trace=trace, counts=counts)
-        assert counts == {"events": 4, "touches": 2 * 4, "first_touches": 2 * 3}
+        assert counts == {"events": 4, "touches": 2 * 4, "first_touches": 2 * 3, "set_major": True}
         want = RefinementTrace()
         assert got == reference_refine(3, 2, tops, postings, 2, 3, want)
         assert trace == want
@@ -212,6 +212,18 @@ class TestEdgeCases:
             (1, 1, 0, 0.875), (2, 1, 0, 0.875), (0, 0, 1, 0.75), (1, 0, 1, 0.75), (0, 1, 1, 0.5),
         ]
         assert trace.blocked == [(2, 0, 0)]
+
+    @pytest.mark.parametrize("fillers, set_major", [(8, True), (9, False)])
+    def test_form_switches_just_above_the_ratio(self, fillers, set_major):
+        # q0 drains centroids 0 and 1 (4 touches), q1 centroid 0 (2 touches);
+        # the filler sets sit in centroid 2, which no query vector drains.
+        # 2 query vectors × (4 + 8) slots is exactly 4 × 6 touches, and one
+        # filler more is above the ratio
+        assert SET_MAJOR_RATIO == 4
+        assignments = [[0, 0], [0, 1], [1]] + [[2]] * fillers
+        per_query = [[(1, 0.5), (0, 0.75)], [(0, 0.875)]]
+        counts = check_against_heap_drain(assignments, 3, per_query, phi_ref=4)
+        assert counts == {"events": 3, "touches": 6, "first_touches": 5, "set_major": set_major}
 
     def test_ties_at_the_cut_go_to_the_lower_set_id(self):
         # set 4 leads; sets 1, 2, 5 and 7 tie behind it and the cut keeps two
@@ -225,13 +237,13 @@ QUARTERS = [q / 4 for q in range(-4, 5)]
 
 
 @st.composite
-def refinement_instances(draw):
+def refinement_instances(draw, n_c=st.integers(1, 6), probes=None):
     """Small stage-1 inputs with similarities mostly on a quarter grid (tied
     within and across query vectors, some negative) and otherwise anywhere
     in [-1, 1], so sums round; per-query lists in any order and of any
-    length, centroids without vectors, and few member vectors per (set,
-    centroid), so capacities bind."""
-    n_c = draw(st.integers(1, 6))
+    length up to ``probes``, centroids without vectors, and few member
+    vectors per (set, centroid), so capacities bind."""
+    n_c = draw(n_c)
     owned = draw(st.integers(1, n_c))  # centroids n_c - owned .. hold nothing
     n_sets = draw(st.integers(1, 7))
     assignments = [
@@ -241,11 +253,27 @@ def refinement_instances(draw):
     sim = st.one_of(st.sampled_from(QUARTERS), st.floats(-1.0, 1.0))
     per_query = [
         [(c, draw(sim))
-         for c in draw(st.permutations(range(n_c)))[: draw(st.integers(0, n_c))]]
+         for c in draw(st.permutations(range(n_c)))[: draw(st.integers(0, probes or n_c))]]
         for _ in range(n_query)
     ]
     phi_ref = draw(st.integers(1, n_sets + 1))
     return assignments, n_c, per_query, phi_ref
+
+
+@st.composite
+def sparse_drain_instances(draw):
+    """Stage-1 inputs that run touch by touch: many centroids and at most
+    two probes per query vector, plus sets of one vector each in a centroid
+    that no query vector probes, enough that the (query vector, slot) table
+    exceeds ``SET_MAJOR_RATIO`` times the touches."""
+    assignments, n_c, per_query, phi_ref = draw(refinement_instances(st.integers(13, 16), probes=2))
+    probed = [{c for c, _ in row} for row in per_query]
+    spare = min(set(range(n_c)).difference(*probed))
+    degree = [len({sid for sid, owners in enumerate(assignments) if c in owners}) for c in range(n_c)]
+    touches = sum(degree[c] for row in probed for c in row)
+    slots = sum(degree)
+    fillers = max(0, SET_MAJOR_RATIO * touches // len(per_query) + 1 - slots)
+    return assignments + [[spare]] * fillers, n_c, per_query, phi_ref
 
 
 def check_against_heap_drain(assignments, n_c, per_query, phi_ref) -> dict:
@@ -262,20 +290,26 @@ def check_against_heap_drain(assignments, n_c, per_query, phi_ref) -> dict:
     assert got_trace.accepted == want_trace.accepted
     assert got_trace.blocked == want_trace.blocked
     assert got_trace.used == want_trace.used
-    # live events, distinct (query vector, slot) pairs, (query vector, set) chances
+    # live events, distinct (query vector, slot) pairs, (query vector, set)
+    # chances, and the form the cost rule picks
     distinct = {(qi, cid) for qi, cid, _ in want_trace.events}
+    touches = sum(len(postings[cid][0]) for _, cid in distinct)
     assert counts == {
         "events": len(want_trace.events),
-        "touches": sum(len(postings[cid][0]) for _, cid in distinct),
+        "touches": touches,
         "first_touches": len(want_trace.accepted) + len(want_trace.blocked),
+        "set_major": 0 < touches and n_query * len(postings.sets) <= SET_MAJOR_RATIO * touches,
     }
     return counts
 
 
 @settings(max_examples=300, deadline=None)
-@given(refinement_instances())
-def test_matches_heap_drain(case):
-    check_against_heap_drain(*case)
+@given(st.booleans(), st.data())
+def test_matches_heap_drain(sparse, data):
+    # most small instances run set by set; the sparse ones run touch by touch
+    case = data.draw(sparse_drain_instances() if sparse else refinement_instances())
+    counts = check_against_heap_drain(*case)
+    assert not (sparse and counts["set_major"])
 
 
 @st.composite
@@ -300,4 +334,5 @@ def test_full_drain_matches_heap_drain(case):
     assignments, n_c, per_query, phi_ref = case
     counts = check_against_heap_drain(assignments, n_c, per_query, phi_ref)
     n_slots = len(make_postings(assignments, n_c=n_c)[0].sets)
-    assert counts["touches"] == len(per_query) * n_slots  # the set-major form ran
+    assert counts["touches"] == len(per_query) * n_slots
+    assert counts["set_major"]

@@ -249,6 +249,11 @@ class TestSynthetic:
             dict(n_sets=5, cols_range=(2, 3), d=4, n_topics=0, noise=0.1, seed=1),
             dict(n_sets=5, cols_range=(2, 3), d=4, n_topics=2, noise=-0.5, seed=1),
             dict(n_sets=5, cols_range=(3, 2), d=4, n_topics=2, noise=0.1, seed=1),
+            dict(n_sets=5, cols_range=(2, 3), d=4, n_topics=2, noise=float("nan"), seed=1),
+            dict(n_sets=5, cols_range=(2, 3), d=4, n_topics=2, noise=float("inf"), seed=1),
+            dict(n_sets=5, cols_range=(2, 3), d=4, n_topics=2, noise=0.1, seed=-1),
+            dict(n_sets=5, cols_range=(2, 3), d=4, n_topics=2, noise=0.1, seed=1.5),
+            dict(n_sets=5, cols_range=(2, 3), d=4, n_topics=2, noise=0.1, seed=True),
         ],
     )
     def test_invalid_params(self, kwargs):
