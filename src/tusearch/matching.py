@@ -7,17 +7,20 @@ valid edge weight by a constant W larger than any matching can weigh, so
 one extra matched pair always outweighs any possible weight change; the
 solver then only has to maximize the shifted total.
 
-``row_best`` forms, for many tables laid side by side and with no loop
-per row or per table, the matching in which every row proposes its best
-column and each column keeps its best proposers while it has room: a
-lower bound on the exact score of each table, and the exact optimum of
-each ``settled`` table, where every row a column turned away could use no
-other column.  Both search stages read their lower bounds from it.
-``set_bounds`` brackets the exact score of a query against many sets of a
-repository at once, from one product over the sets' gathered rows; its
-upper bound also weighs a vertex cover of each set's threshold graph.
-``exact_topk`` verifies sets in descending upper bound until no unverified
-set can reach the k-th weight: the exact scan that ground truth is made of.
+``valid_entries`` lists the entries of many tables laid side by side that
+clear the threshold, once, and two passes read that listing with no loop
+per row or per table.  ``row_best`` forms the matching in which every row
+proposes its best column and each column keeps its best proposers while
+it has room: a lower bound on the exact score of each table, and the
+exact optimum of each ``settled`` table, where every row a column turned
+away could use no other column.  Only stage 2 reads it.
+``set_upper_bounds`` bounds the exact score of a query against many sets
+of a repository from above only, from one product over the sets' gathered
+rows: the smallest of the row-max sum, the column-max sum and the weight
+of a vertex cover of each set's threshold graph.  Stage 3 prunes with it,
+and ``exact_topk`` verifies sets in descending bound until no unverified
+set can reach the k-th weight: the exact scan that ground truth is made
+of.
 
 ``brute_force_unionability`` recomputes the same objective by exhaustive
 enumeration over injective partial mappings (memoized over a bitmask of
@@ -49,6 +52,11 @@ class MatchingResult(NamedTuple):
 
     cardinality: int
     weight: float
+
+
+def is_integer(value) -> bool:
+    """The one integer rule for sizes: numpy integers count, bools do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_tau(tau) -> None:
@@ -134,6 +142,38 @@ def matching_floors(row_min: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.sort(row_min, axis=0).cumsum(axis=0)[counts, np.arange(row_min.shape[1])]
 
 
+class Entries(NamedTuple):
+    """The valid entries of tables laid side by side, listed once in
+    row-major order: those of one (row, table) pair are consecutive and in
+    column order."""
+
+    owner: np.ndarray  # per column, its table
+    vals: np.ndarray  # per entry, its value
+    cols: np.ndarray  # per entry, its column
+    head: np.ndarray  # per (row, table) pair, its first entry
+    size: np.ndarray  # per pair, its entries: the columns its row reaches in its table
+    pair_max: np.ndarray
+    pair_row: np.ndarray
+    pair_table: np.ndarray
+
+
+def valid_entries(sims: np.ndarray, valid: np.ndarray, starts: np.ndarray) -> Entries:
+    """The one listing of ``sims``'s ``valid`` entries, table t from column
+    ``starts[t]``, that ``row_best`` and ``set_upper_bounds`` both read."""
+    n_cols = sims.shape[1]
+    owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=n_cols))
+    flat = np.flatnonzero(valid)
+    vals = sims.ravel()[flat]
+    rows = flat // n_cols
+    cols = flat - rows * n_cols
+    tables = owner[cols]
+    new_pair = np.ones(len(flat), dtype=bool)
+    new_pair[1:] = (rows[1:] != rows[:-1]) | (tables[1:] != tables[:-1])
+    head = np.flatnonzero(new_pair)
+    return Entries(owner, vals, cols, head, np.diff(head, append=len(flat)),
+                   np.maximum.reduceat(vals, head), rows[head], tables[head])
+
+
 @dataclass(frozen=True)
 class RowBest:
     """``row_best``'s matching, per table of its layout (per row and table
@@ -146,22 +186,21 @@ class RowBest:
     settled: np.ndarray  # the matching is the exact optimum (see ``row_best``)
     lb: np.ndarray  # lower bound on the exact score
     copies: np.ndarray  # per column, the most a matching can use it: min(capacity, rows reaching it)
-    cover: np.ndarray | None  # a vertex cover's weight, an upper bound on the exact score, if asked for
 
 
-def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts, cover: bool = False) -> RowBest:
+def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts) -> RowBest:
     """The row-best matching of tables laid side by side in ``sims``, table
     t from column ``starts[t]``, each column usable ``capacities`` times.
 
     In each table every row proposes its first-best valid column, and each
     column keeps its ``capacities`` best proposers, ties to the lower row.
-    One pass lists the valid entries; everything after it works on those
-    entries, with no loop per row or per table.  The result is feasible, so
-    its weight W of cardinality c bounds the exact score from below once c
-    is ``most``, the most rows a matching can take: min(rows with a valid
-    entry, sum of min(capacity, reach)).  Below ``most`` the exact score's
-    larger matching weighs at least ``matching_floors``, and the bound is
-    the smaller of the two.
+    ``valid_entries`` lists the valid entries; everything after it works on
+    those entries, with no loop per row or per table.  The result is
+    feasible, so its weight W of cardinality c bounds the exact score from
+    below once c is ``most``, the most rows a matching can take: min(rows
+    with a valid entry, sum of min(capacity, reach)).  Below ``most`` the
+    exact score's larger matching weighs at least ``matching_floors``, and
+    the bound is the smaller of the two.
 
     A table is ``settled`` when every column that turned a proposal away
     had proposals only from rows with no other valid entry in the table.
@@ -172,37 +211,19 @@ def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts, cover: boo
     summed in row order, as the assignment solver sums its weight, so the
     two are equal wherever the solver's shifted profits (``sims + W``)
     still tell the entries apart.
-
-    With ``cover``, each table also gets the weight of a vertex cover of
-    its valid entries, a row weighing its maximum and a column its maximum
-    times its ``copies``.  A row pays when some column it reaches is
-    reached by fewer rows than the row reaches columns, and each column
-    reached by a row that does not pay pays too.  Every valid entry then
-    has a paying end that weighs at least as much, so by LP duality
-    (König–Egerváry) no matching weighs more than the cover.
     """
     n_rows, n_cols = sims.shape
     starts = np.asarray(starts, dtype=np.int64)
     n_tables = len(starts)
-    owner = np.repeat(np.arange(n_tables), np.diff(starts, append=n_cols))
-    # The valid entries in row-major order: those of one (row, table) pair
-    # are consecutive and in column order.
-    flat = np.flatnonzero(valid)
-    vals = sims.ravel()[flat]
-    rows, cols = np.divmod(flat, n_cols)
-    tables = owner[cols]
-    new_pair = np.ones(len(flat), dtype=bool)
-    new_pair[1:] = (rows[1:] != rows[:-1]) | (tables[1:] != tables[:-1])
-    pair_of = np.cumsum(new_pair) - 1
-    head = np.flatnonzero(new_pair)
-    pair_max = np.maximum.reduceat(vals, head)
-    pair_row, pair_table = rows[head], tables[head]
+    e = valid_entries(sims, valid, starts)
+    pair_max, pair_row, pair_table = e.pair_max, e.pair_row, e.pair_table
     row_max = np.zeros((n_rows, n_tables))
     row_max[pair_row, pair_table] = pair_max
 
     # each pair proposes its first column at the maximum
-    at_max = np.flatnonzero(vals == pair_max[pair_of])
-    proposed = cols[at_max[np.diff(pair_of[at_max], prepend=-1) > 0]]
+    pair_of = np.repeat(np.arange(len(e.head)), e.size)
+    at_max = np.flatnonzero(e.vals == pair_max[pair_of])
+    proposed = e.cols[at_max[np.diff(pair_of[at_max], prepend=-1) > 0]]
     # each proposal's rank among its column's proposals, best first and
     # ties to the lower row.  numpy's stable sorts take several times as
     # long as its default one, so the default one sorts keys with no ties:
@@ -210,7 +231,7 @@ def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts, cover: boo
     # pair its place by value; column, then that place, gives the order.
     # The keys stay below n_pairs**2 and n_cols * n_pairs, far from int64's
     # limit for any product that fits in memory.
-    n_pairs = len(head)
+    n_pairs = len(e.head)
     by_value = np.argsort(-pair_max)
     value_rank = np.empty(n_pairs, dtype=np.int64)
     value_rank[by_value] = np.cumsum(np.diff(pair_max[by_value], prepend=np.inf) != 0)
@@ -236,35 +257,43 @@ def row_best(sims: np.ndarray, valid: np.ndarray, capacities, starts, cover: boo
     count = np.bincount(kept_table, minlength=n_tables)
     turned_away = np.zeros(n_cols, dtype=bool)
     turned_away[proposed[~kept]] = True
-    pair_size = np.diff(head, append=len(flat))  # columns each pair's row reaches in its table
-    settled = np.bincount(pair_table[(pair_size > 1) & turned_away[proposed]], minlength=n_tables) == 0
+    settled = np.bincount(pair_table[(e.size > 1) & turned_away[proposed]], minlength=n_tables) == 0
 
-    reach = np.bincount(cols, minlength=n_cols)
-    copies = np.minimum(caps, reach)
+    copies = np.minimum(caps, np.bincount(e.cols, minlength=n_cols))
     most = np.minimum(np.bincount(pair_table, minlength=n_tables), np.add.reduceat(copies, starts))
     lb = weight.copy()
     short = np.flatnonzero((count < most) & ~settled)
     if len(short):
         row_min = np.full((n_rows, n_tables), np.inf)
-        row_min[pair_row, pair_table] = np.minimum.reduceat(vals, head)
+        row_min[pair_row, pair_table] = np.minimum.reduceat(e.vals, e.head)
         lb[short] = np.minimum(weight[short], matching_floors(row_min[:, short], count[short]))
-    cover_weight = None
-    if cover:
-        pays = np.minimum.reduceat(reach[cols], head) < pair_size
-        col_pays = np.zeros(n_cols, dtype=bool)
-        col_pays[cols[np.repeat(~pays, pair_size)]] = True
-        col_max = np.zeros(n_cols)
-        np.maximum.at(col_max, cols, vals)
-        cover_weight = (np.bincount(pair_table[pays], pair_max[pays], n_tables)
-                        + np.bincount(owner[col_pays], (copies * col_max)[col_pays], n_tables))
-    return RowBest(row_max, choice, weight, count, settled, lb, copies, cover_weight)
+    return RowBest(row_max, choice, weight, count, settled, lb, copies)
 
 
-def _bounded_product(q_mat: np.ndarray, repo, sids: np.ndarray, tau: float):
-    """The query's product with the listed sets' gathered rows, 0 below tau;
-    its valid mask; and each set's first column in it.  A query of another
-    dimension than the repository's is a data error."""
+def set_upper_bounds(q_mat: np.ndarray, repo, set_ids, tau: float) -> np.ndarray:
+    """Upper bounds on ``unionability`` of the query against each listed
+    set of ``repo``, from one product over the sets' gathered rows and one
+    listing of its entries that clear tau.
+
+    Each bound is the smallest of the row-max sum, the column-max sum and
+    the weight of a vertex cover of the set's threshold graph, in which a
+    query column weighs its maximum and a set column its maximum.  A query
+    column pays when some set column it reaches is reached by fewer query
+    columns than it reaches set columns, and each set column reached by a
+    query column that does not pay pays too.  Every valid entry then has a
+    paying end that weighs at least as much, so by LP duality
+    (König–Egerváry) no matching weighs more than the cover.  Set ids must
+    be integers, and a query of another dimension than the repository's is
+    a data error.
+    """
     check_tau(tau)
+    sids = np.asarray(set_ids)
+    if len(sids) == 0:
+        return np.zeros(0)
+    if not np.issubdtype(sids.dtype, np.integer):
+        raise UsageError(f"set ids must be integers, got {set_ids!r}")
+    if sids.min() < 0 or sids.max() >= repo.n_sets:
+        raise DataError(f"unknown set_id in {sids.tolist()} (repository has {repo.n_sets} sets)")
     q_mat = np.asarray(q_mat)
     if q_mat.shape[-1] != repo.dimension:
         raise DataError(f"dimension mismatch: {q_mat.shape[-1]} vs {repo.dimension}")
@@ -272,46 +301,32 @@ def _bounded_product(q_mat: np.ndarray, repo, sids: np.ndarray, tau: float):
     sizes = repo.offsets[sids + 1] - start
     seg = np.cumsum(sizes) - sizes
     sims = _sim_matrix(q_mat, repo.matrix[ranges(start, sizes)])
-    valid = sims >= tau
-    sims[~valid] = 0.0
-    return sims, valid, seg
-
-
-def _upper_bounds(sims: np.ndarray, seg: np.ndarray, row_max: np.ndarray) -> np.ndarray:
-    """Each set's smaller of the row-max and column-max sums."""
-    return np.minimum(row_max.sum(axis=0), np.add.reduceat(sims.max(axis=0), seg))
-
-
-def set_bounds(q_mat: np.ndarray, repo, set_ids, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on ``unionability`` of the query against each
-    listed set of ``repo``, from one product over the sets' gathered rows.
-
-    The upper bound is the smallest of the row-max and column-max sums over
-    the entries that clear tau and the weight of ``row_best``'s vertex
-    cover.  The lower bound is ``row_best``'s with every set column usable
-    once.
-    """
-    sids = np.asarray(set_ids, dtype=np.int64)
-    if len(sids) == 0:
-        return np.zeros(0), np.zeros(0)
-    if sids.min() < 0 or sids.max() >= repo.n_sets:
-        raise DataError(f"unknown set_id in {sids.tolist()} (repository has {repo.n_sets} sets)")
-    sims, valid, seg = _bounded_product(q_mat, repo, sids, tau)
-    best = row_best(sims, valid, 1, seg, cover=True)
-    ub = np.minimum(_upper_bounds(sims, seg, best.row_max), best.cover)
-    return np.minimum(best.lb, ub), ub
+    e = valid_entries(sims, sims >= tau, seg)
+    n_tables = len(seg)
+    col_max = sims.max(axis=0)  # a column's largest valid entry, if its largest entry clears tau
+    col_max[col_max < tau] = 0.0
+    row_sum = np.bincount(e.pair_table, e.pair_max, n_tables)  # each set's row maxima added in row order
+    reach = np.bincount(e.cols, minlength=sims.shape[1])
+    pays = np.minimum.reduceat(reach[e.cols], e.head) < e.size
+    col_pays = np.zeros(len(col_max), dtype=bool)
+    col_pays[e.cols[np.repeat(~pays, e.size)]] = True
+    cover = (np.bincount(e.pair_table[pays], e.pair_max[pays], n_tables)
+             + np.bincount(e.owner[col_pays], col_max[col_pays], n_tables))
+    return np.minimum(np.minimum(row_sum, np.add.reduceat(col_max, seg)), cover)
 
 
 def exact_topk(q_mat: np.ndarray, repo, tau: float, k: int) -> list[tuple[int, float, int]]:
     """The ``min(k, n_sets)`` best sets of ``repo`` by exact score, as
     (set id, weight, cardinality) sorted by (weight desc, cardinality desc,
     set id asc).  Sets are verified with ``unionability`` in descending
-    upper bound until none left can reach the k-th weight found (less
-    ``BOUND_SLACK``), so the result is that of scoring every set."""
+    ``set_upper_bounds`` until none left can reach the k-th weight found
+    (less ``BOUND_SLACK``), so the result is that of scoring every set.
+    ``k`` must be an integer >= 1 by ``is_integer``."""
+    if not is_integer(k):
+        raise UsageError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    sims, _, seg = _bounded_product(q_mat, repo, np.arange(repo.n_sets), tau)
-    ub = _upper_bounds(sims, seg, np.maximum.reduceat(sims, seg, axis=1))
+    ub = set_upper_bounds(q_mat, repo, np.arange(repo.n_sets), tau)
     k = min(k, repo.n_sets)
     scored = []
     best: list[float] = []  # min-heap of the k largest weights so far

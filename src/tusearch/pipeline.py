@@ -10,11 +10,13 @@ as build wrote them or the bundle stored them and each checked them with
 ``PartitionIndex.validate``, gives the similarity tables of all stage-1
 candidates, their row-best bounds, their exact scores where the row-best
 matching is settled (every query column a group turned away reaches no
-other group), and the assignment problems of the rest.  Stage 3 scores
-each survivor with the exact thresholded matching against all of the
-set's vectors, pruning with the bounds of ``matching.set_bounds``, whose
-upper bound also weighs a vertex cover of each threshold graph: one
-product of the query with every survivor's rows gives all of them.
+other group), and the assignment problems of the rest.  Only stage 2
+computes a lower bound, which ``BoundPair`` checks against its upper one;
+no pruner reads it.  Stage 3 scores each survivor with the exact
+thresholded matching against all of the set's vectors, pruning with
+``matching.set_upper_bounds``, which bounds from above only and also
+weighs a vertex cover of each threshold graph: one product of the query
+with every survivor's rows gives all of them.
 Queries are independent; every search call keeps its own scratch state,
 so one engine serves many threads.  Search reads none of the build
 settings in ``build_config``.
@@ -22,7 +24,6 @@ settings in ``build_config``.
 
 from __future__ import annotations
 
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -37,10 +38,6 @@ from .pruning import PRUNERS, run_pruner
 from .quantizer import Codebook, ClusterAssignment, default_n_c, top_centroids
 from .refinement import Postings, refine
 from .repository import QueryTable, VectorSetRepository
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -64,7 +61,7 @@ class SearchParams:
             value = getattr(self, name)
             if value is None and name in ("phi_ref", "phi_r"):
                 continue  # defaulted below
-            if not _is_integer(value):
+            if not matching.is_integer(value):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
         matching.check_tau(self.tau)
         if self.k < 1:
@@ -244,8 +241,9 @@ class SearchEngine:
         diag.stage_seconds["filter"] = t2 - t1
 
         ids3 = [sid for sid, _ in ranked2]
-        lb3, ub3 = matching.set_bounds(q64, self.repo, ids3, tau)
-        bounds3 = dict(zip(ids3, zip(lb3.tolist(), ub3.tolist())))
+        ub3 = matching.set_upper_bounds(q64, self.repo, ids3, tau)
+        # every exact score is at least 0, and no pruner reads a lower bound
+        bounds3 = {sid: (0.0, ub) for sid, ub in zip(ids3, ub3.tolist())}
         ranked3, stats3 = run_pruner(
             resolved.pruner,
             ids3,
@@ -282,9 +280,9 @@ def check_build_config(config: dict) -> dict:
     if set(config) != set(BUILD_SETTINGS):
         raise UsageError(f"build config must hold exactly {', '.join(BUILD_SETTINGS)}, got {', '.join(config)}")
     n_c, seed, single = config["n_c"], config["seed"], config["single_partition"]
-    if not (_is_integer(n_c) and n_c >= 1):
+    if not (matching.is_integer(n_c) and n_c >= 1):
         raise UsageError(f"n_c must be int >= 1, got {n_c!r}")
-    if not (_is_integer(seed) and seed >= 0):
+    if not (matching.is_integer(seed) and seed >= 0):
         raise UsageError(f"seed must be int >= 0, got {seed!r}")
     check_thresholds(config["rho_low"], config["rho_high"])
     if not isinstance(single, (bool, np.bool_)):

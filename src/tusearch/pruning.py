@@ -17,8 +17,9 @@ All three break score ties by the lower set id so their outputs are
 directly comparable.  A candidate is only ever dropped without scoring
 when the top heap already holds m resolved scores above its upper bound
 by more than ``BOUND_SLACK``, so the selected top-m set is exact whenever
-the upper bounds are valid up to summation-order rounding; lower bounds
-are treated as hints only and never affect which candidates survive.
+the upper bounds are valid up to summation-order rounding.  No strategy
+reads a lower bound: stage 3 hands every candidate 0.0, the least exact
+score, and only stage 2 computes one.
 """
 
 from __future__ import annotations

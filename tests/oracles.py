@@ -2,7 +2,8 @@
 
 These deliberately avoid the production code paths: cardinality by plain
 augmenting paths, capacitated matching by exhaustive recursion over
-capacity states, the row-best matching one row at a time, a list-scan
+capacity states, the row-best matching one row at a time, stage 3's
+upper bounds as the former row-best pass computed them, a list-scan
 model of the double-ended queue, the stage-1 drain as a global max-heap
 popped one event at a time, the stage-1 postings built one centroid at a
 time, ground truth as one exact matching per set with no bounds and no
@@ -170,6 +171,52 @@ def reference_row_best(
         mins = sorted(min(s for _, s in row) for row in rows if row)
         lb = min(weight, sum(mins[: count + 1]))
     return weight, count, settled, choice, lb
+
+
+def reference_set_upper_bounds(q_mat, repo, set_ids, tau: float) -> np.ndarray:
+    """Stage 3's upper bounds as the row-best pass once gave them, one
+    product over the listed sets' rows with the entries below tau zeroed:
+    per set, the smallest of the row-max sum (a dense per-row maximum summed
+    down each set's column), the column-max sum and the vertex cover, in
+    which a query column pays its maximum when some set column it reaches
+    is reached by fewer query columns than it reaches set columns, and
+    every set column such a non-paying query column reaches pays its
+    maximum, found by a scatter-max over the entries."""
+    sids = [int(s) for s in set_ids]
+    if not sids:
+        return np.zeros(0)
+    sizes = [repo.size_of(s) for s in sids]
+    starts = np.cumsum([0] + sizes[:-1])
+    sims = np.asarray(q_mat, dtype=np.float64) @ np.concatenate(
+        [repo.vectors_of(s) for s in sids]
+    ).astype(np.float64).T
+    valid = sims >= tau
+    sims[~valid] = 0.0
+    n_rows, n_cols = sims.shape
+    n_tables = len(sids)
+    owner = np.repeat(np.arange(n_tables), sizes)
+    flat = np.flatnonzero(valid)
+    vals = sims.ravel()[flat]
+    rows, cols = np.divmod(flat, n_cols)
+    tables = owner[cols]
+    new_pair = np.ones(len(flat), dtype=bool)
+    new_pair[1:] = (rows[1:] != rows[:-1]) | (tables[1:] != tables[:-1])
+    head = np.flatnonzero(new_pair)
+    pair_max = np.maximum.reduceat(vals, head)
+    pair_table = tables[head]
+    row_max = np.zeros((n_rows, n_tables))
+    row_max[rows[head], pair_table] = pair_max
+    pair_size = np.diff(head, append=len(flat))
+    reach = np.bincount(cols, minlength=n_cols)
+    pays = np.minimum.reduceat(reach[cols], head) < pair_size
+    col_pays = np.zeros(n_cols, dtype=bool)
+    col_pays[cols[np.repeat(~pays, pair_size)]] = True
+    col_max = np.zeros(n_cols)
+    np.maximum.at(col_max, cols, vals)
+    cover = (np.bincount(pair_table[pays], pair_max[pays], n_tables)
+             + np.bincount(owner[col_pays], (np.minimum(1, reach) * col_max)[col_pays], n_tables))
+    sums = np.minimum(row_max.sum(axis=0), np.add.reduceat(sims.max(axis=0), starts))
+    return np.minimum(sums, cover)
 
 
 def reference_refine(n_sets, n_query, top_centroids_of, postings, phi_c, phi_ref, trace=None):

@@ -16,15 +16,17 @@ from oracles import (
     random_unit_rows,
     reference_ranking,
     reference_row_best,
+    reference_set_upper_bounds,
     sets_from_sims,
 )
 import tusearch
 from tusearch.errors import DataError, UsageError
+from tusearch.evaluation import ground_truth_rankings
 from tusearch.matching import (
     brute_force_unionability,
     exact_topk,
     row_best,
-    set_bounds,
+    set_upper_bounds,
     solve_shifted_assignment,
     unionability,
 )
@@ -32,7 +34,7 @@ from tusearch.mwmto import partition_sims
 from tusearch.partitions import PartitionGroup, PartitionIndex, PartitionSet
 from tusearch.pruning import BOUND_SLACK
 from tusearch.quantizer import Codebook
-from tusearch.repository import VectorSetRepository
+from tusearch.repository import QueryTable, VectorSetRepository
 
 
 class TestUnionability:
@@ -213,7 +215,43 @@ class TestRowBest:
             assert best.row_max[:, t].tolist() == [max((s for _, s in row), default=0.0) for row in rows]
 
 
+# Query columns 0-2 reach only set column 0, query column 3 only set
+# columns 1-3: the row-max sum is 3.35 and the column-max sum 3.45.  Query
+# column 3 and set column 0 cover every entry, at 1.8, which is the exact
+# score.
+COVER_EXAMPLE = [[.9, 0, 0, 0], [.8, 0, 0, 0], [.75, 0, 0, 0], [0, .9, .85, .8]]
+
+
+def row_best_lb(query, repo, set_ids, tau):
+    """``row_best``'s lower bound of each listed set, every set column
+    usable once, over one product with the entries below tau zeroed."""
+    blocks = [repo.vectors_of(sid) for sid in set_ids]
+    sims = query.astype(np.float64) @ np.concatenate(blocks).astype(np.float64).T
+    valid = sims >= tau
+    starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
+    return row_best(np.where(valid, sims, 0.0), valid, 1, starts).lb
+
+
+@st.composite
+def pooled_repositories(draw):
+    """A query and a repository whose vectors are all drawn from a pool of
+    a few unit vectors, so that similarities tie within a set, across sets
+    and across query columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 4))
+    pool = random_unit_rows(rng, draw(st.integers(1, 4)), d)
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=sum(sizes), max_size=sum(sizes)))
+    repo = VectorSetRepository(pool[picks], np.concatenate([[0], np.cumsum(sizes)]))
+    query = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))]
+    tau = draw(st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.9, 0.999]))
+    return query, repo, tau
+
+
 class TestSetBounds:
+    """Lower bounds from ``row_best`` over the product stage 3 makes, with
+    every set column usable once; upper bounds from ``set_upper_bounds``."""
+
     def test_lb_valid_when_greedy_blocks_a_row(self):
         # Each query column proposes its .99 set column and the last one
         # column 0, which the first already holds: 2.97 over three columns,
@@ -225,9 +263,8 @@ class TestSetBounds:
         repo = VectorSetRepository(v, [0, len(v)])
         exact = unionability(q, repo.vectors_of(0), 0.6)
         assert (exact.cardinality, exact.weight) == (4, pytest.approx(2.8, abs=1e-6))
-        lb, ub = set_bounds(q, repo, [0], 0.6)
-        assert lb[0] == pytest.approx(2.8, abs=1e-6)
-        assert exact.weight <= ub[0] + 1e-9
+        assert row_best_lb(q, repo, [0], 0.6)[0] == pytest.approx(2.8, abs=1e-6)
+        assert exact.weight <= set_upper_bounds(q, repo, [0], 0.6)[0] + 1e-9
 
     def test_sandwich_on_sparse_tables(self):
         """Sets whose columns most query columns miss, so the row-best
@@ -240,23 +277,42 @@ class TestSetBounds:
             q, v = sets_from_sims(sims)
             repo = VectorSetRepository(v, [0, n_v])
             card, weight = enumerate_best_matching(sims, sims >= 0.5)
-            lb, ub = set_bounds(q, repo, [0], 0.5)
-            assert lb[0] <= weight + 1e-9
-            assert weight <= ub[0] + 1e-9
+            assert row_best_lb(q, repo, [0], 0.5)[0] <= weight + 1e-9
+            assert weight <= set_upper_bounds(q, repo, [0], 0.5)[0] + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(repositories(), st.data())
+    def test_bounds_sandwich_the_exact_score(self, case, data):
+        query, repo, tau = case
+        cands = data.draw(st.lists(
+            st.integers(0, repo.n_sets - 1), min_size=1, max_size=repo.n_sets, unique=True
+        ))
+        lb, ub = row_best_lb(query, repo, cands, tau), set_upper_bounds(query, repo, cands, tau)
+        for sid, low, high in zip(cands, lb.tolist(), ub.tolist()):
+            exact = unionability(query, repo.vectors_of(sid), tau).weight
+            assert low <= exact + 1e-9
+            assert exact <= high + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(repositories(), pooled_repositories()), st.data())
+    def test_equals_the_row_best_pass(self, case, data):
+        """Equal with ``==`` to the bounds the former row-best pass gave,
+        on sets with no valid entry, one-vector sets, tied similarities and
+        the empty list."""
+        query, repo, tau = case
+        cands = data.draw(st.lists(st.integers(0, repo.n_sets - 1), max_size=repo.n_sets, unique=True))
+        got = set_upper_bounds(query, repo, cands, tau)
+        assert got.tolist() == reference_set_upper_bounds(query, repo, cands, tau).tolist()
 
     def test_cover_is_tighter_than_both_sums(self):
-        # Query columns 0-2 reach only set column 0, query column 3 only set
-        # columns 1-3: the row-max sum is 3.35 and the column-max sum 3.45.
-        # Query column 3 and set column 0 cover every entry, at 1.8, which
-        # is the exact score.
-        sims = [[.9, 0, 0, 0], [.8, 0, 0, 0], [.75, 0, 0, 0], [0, .9, .85, .8]]
-        q, v = sets_from_sims(sims)
+        q, v = sets_from_sims(COVER_EXAMPLE)
         repo = VectorSetRepository(v, [0, len(v)])
         exact = unionability(q, repo.vectors_of(0), 0.6)
         assert (exact.cardinality, exact.weight) == (2, pytest.approx(1.8, abs=1e-6))
-        lb, ub = set_bounds(q, repo, [0], 0.6)
-        assert ub[0] == pytest.approx(1.8, abs=1e-6)
-        assert lb[0] == pytest.approx(1.8, abs=1e-6)
+        assert set_upper_bounds(q, repo, [0], 0.6)[0] == pytest.approx(1.8, abs=1e-6)
+        # query columns 0-2 all propose set column 0, which keeps the .9, and
+        # the two it turns away reach nothing else: the matching is settled
+        assert row_best_lb(q, repo, [0], 0.6)[0] == pytest.approx(1.8, abs=1e-6)
 
     @settings(max_examples=200, deadline=None)
     @given(repositories(), st.data())
@@ -265,7 +321,7 @@ class TestSetBounds:
         cands = data.draw(st.lists(
             st.integers(0, repo.n_sets - 1), min_size=1, max_size=repo.n_sets, unique=True
         ))
-        _, ub = set_bounds(query, repo, cands, tau)
+        ub = set_upper_bounds(query, repo, cands, tau)
         for sid, high in zip(cands, ub.tolist()):
             vectors = repo.vectors_of(sid)
             sims = query.astype(np.float64) @ vectors.astype(np.float64).T
@@ -275,31 +331,59 @@ class TestSetBounds:
 
     def test_empty_candidate_list(self):
         repo = VectorSetRepository(np.eye(2), [0, 2])
-        lb, ub = set_bounds(np.eye(2), repo, [], 0.5)
-        assert len(lb) == len(ub) == 0
+        assert len(set_upper_bounds(np.eye(2), repo, [], 0.5)) == 0
 
     def test_unknown_set_id(self):
         repo = VectorSetRepository(np.eye(2), [0, 2])
         with pytest.raises(DataError, match="unknown set_id"):
-            set_bounds(np.eye(2), repo, [1], 0.5)
+            set_upper_bounds(np.eye(2), repo, [1], 0.5)
+
+    @pytest.mark.parametrize("set_ids", [[1.5], [1.0], [True], ["1"], np.array([0.0])],
+                             ids=["1.5", "1.0", "True", "str", "float-array"])
+    def test_set_ids_must_be_integers(self, set_ids):
+        repo = VectorSetRepository(np.eye(2), [0, 1, 2])
+        assert set_upper_bounds(np.eye(2), repo, np.array([1, 0], dtype=np.int32), 0.5).tolist() == [1.0, 1.0]
+        with pytest.raises(UsageError, match="set ids must be integers"):
+            set_upper_bounds(np.eye(2), repo, set_ids, 0.5)
 
     def test_tau_must_be_positive(self):
         repo = VectorSetRepository(np.eye(2), [0, 2])
         with pytest.raises(UsageError):
-            set_bounds(np.eye(2), repo, [0], 0.0)
+            set_upper_bounds(np.eye(2), repo, [0], 0.0)
 
-    @settings(max_examples=200, deadline=None)
-    @given(repositories(), st.data())
-    def test_bounds_sandwich_the_exact_score(self, case, data):
-        query, repo, tau = case
-        cands = data.draw(st.lists(
-            st.integers(0, repo.n_sets - 1), min_size=1, max_size=repo.n_sets, unique=True
-        ))
-        lb, ub = set_bounds(query, repo, cands, tau)
-        for sid, low, high in zip(cands, lb.tolist(), ub.tolist()):
-            exact = unionability(query, repo.vectors_of(sid), tau).weight
-            assert low <= exact + 1e-9
-            assert exact <= high + 1e-9
+
+def count_verified(query, repo, tau, k) -> int:
+    """How many sets ``exact_topk`` verifies with ``unionability``."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return unionability(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tusearch.matching, "unionability", counted)
+        exact_topk(query, repo, tau, k)
+    return len(calls)
+
+
+def verified_under_both_sums(query, repo, tau, k) -> int:
+    """How many sets the scan would verify bounding each set with the
+    smaller of its row-max and column-max sums alone, in descending bound
+    (ties to the lower id) until no set left can reach the k-th weight."""
+    sums, weights = [], []
+    for sid in range(repo.n_sets):
+        sims = query.astype(np.float64) @ repo.vectors_of(sid).astype(np.float64).T
+        kept = np.where(sims >= tau, sims, 0.0)
+        sums.append(min(kept.max(axis=1).sum(), kept.max(axis=0).sum()))
+        weights.append(unionability(query, repo.vectors_of(sid), tau).weight)
+    best: list[float] = []
+    verified = 0
+    for sid in sorted(range(repo.n_sets), key=lambda s: (-sums[s], s)):
+        if len(best) == min(k, repo.n_sets) and sums[sid] + BOUND_SLACK < best[-1]:
+            break
+        verified += 1
+        best = sorted(best + [weights[sid]], reverse=True)[:k]
+    return verified
 
 
 class TestExactTopk:
@@ -322,6 +406,34 @@ class TestExactTopk:
         repo = VectorSetRepository(np.eye(2), [0, 2])
         with pytest.raises(UsageError):
             exact_topk(np.eye(2), repo, 0.5, 0)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "3", None], ids=["2.5", "2.0", "True", "str", "None"])
+    def test_k_must_be_an_integer(self, k):
+        repo = VectorSetRepository(np.eye(2), [0, 1, 2])
+        assert len(exact_topk(np.eye(2), repo, 0.5, np.int64(2))) == 2  # numpy integers count
+        with pytest.raises(UsageError, match="k must be an integer"):
+            exact_topk(np.eye(2), repo, 0.5, k)
+        with pytest.raises(UsageError, match="k must be an integer"):
+            ground_truth_rankings([QueryTable(np.eye(2))], repo, 0.5, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(repositories(), st.data())
+    def test_no_more_sets_than_the_sums_alone(self, case, data):
+        query, repo, tau = case
+        k = data.draw(st.integers(1, repo.n_sets))
+        assert count_verified(query, repo, tau, k) <= verified_under_both_sums(query, repo, tau, k)
+
+    def test_the_cover_verifies_fewer_sets(self):
+        # Set 0 is the cover example (exact 1.8, sums 3.35 and 3.45); set 1
+        # scores 2.0 exactly and is bounded by 2.0.  By the sums alone set 0
+        # comes first and both are verified; by the cover set 1 comes first
+        # and set 0's 1.8 cannot reach it.
+        q, v0 = sets_from_sims(COVER_EXAMPLE)
+        v1 = q[[0, 3]]  # query columns 0 and 3 themselves
+        repo = VectorSetRepository(np.vstack([v0, v1]), [0, len(v0), len(v0) + 2])
+        assert [sid for sid, _, _ in exact_topk(q, repo, 0.6, 1)] == [1]
+        assert verified_under_both_sums(q, repo, 0.6, 1) == 2
+        assert count_verified(q, repo, 0.6, 1) == 1
 
 
 def test_scipy_optimize_loads_at_the_first_assignment_solve():
@@ -355,7 +467,7 @@ def _tau_takers():
         "unionability": lambda tau: unionability(q, v, tau),
         "brute_force_unionability": lambda tau: brute_force_unionability(q, v, tau),
         "exact_topk": lambda tau: exact_topk(q, repo, tau, 2),
-        "set_bounds": lambda tau: set_bounds(q, repo, [0, 1], tau),
+        "set_upper_bounds": lambda tau: set_upper_bounds(q, repo, [0, 1], tau),
         "partition_sims": lambda tau: partition_sims(q, pindex, codebook, [0], tau),
     }
 

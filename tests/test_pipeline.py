@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tusearch.errors import DataError, UsageError
 from tusearch.evaluation import BenchConfig, make_workload
-from tusearch.matching import BRUTE_FORCE_MAX_SIDE, brute_force_unionability, exact_topk, set_bounds, unionability
+from tusearch.matching import BRUTE_FORCE_MAX_SIDE, brute_force_unionability, exact_topk, set_upper_bounds, unionability
 from tusearch.pipeline import SearchParams, build_engine
 from tusearch.refinement import SET_MAJOR_RATIO
 from tusearch.repository import QueryTable, generate_synthetic, split_repository
@@ -147,7 +147,7 @@ class TestClusteredScoring:
         with pytest.raises(DataError, match="unknown set_id"):
             unionability(queries[0].vectors, repo.vectors_of(10_000), 0.7)
         with pytest.raises(DataError, match="unknown set_id"):
-            set_bounds(queries[0].vectors, repo, [10_000], 0.7)
+            set_upper_bounds(queries[0].vectors, repo, [10_000], 0.7)
 
 
 class TestClusteredBounds:
@@ -158,14 +158,12 @@ class TestClusteredBounds:
             for sid in rng.choice(repo.n_sets, size=8, replace=False):
                 sid = int(sid)
                 score = unionability(query.vectors, repo.vectors_of(sid), 0.6).weight
-                (lb,), (ub,) = set_bounds(query.vectors, repo, [sid], 0.6)
+                (ub,) = set_upper_bounds(query.vectors, repo, [sid], 0.6)
                 assert score <= ub + 1e-9
-                assert lb <= ub + 1e-9
 
     def test_single_edge_partition_bounds_collapse(self):
         data = generate_synthetic(3, (1, 1), 8, 3, 0.0, seed=3)
-        (lb,), (ub,) = set_bounds(data.repository.vectors_of(0), data.repository, [0], 0.5)
-        assert lb == pytest.approx(ub, abs=1e-9)
+        (ub,) = set_upper_bounds(data.repository.vectors_of(0), data.repository, [0], 0.5)
         assert ub == pytest.approx(1.0, abs=1e-6)
 
 
